@@ -10,7 +10,8 @@
 # "mixed" phase is kept (best-of-N: the minimum wall time is the
 # measurement least disturbed by other load on the machine). The committed
 # results/bench_simkernel_baseline.json holds the pre-optimisation
-# numbers the "speedup_mixed" field is computed against.
+# numbers the "speedup_mixed" field is computed against. The host's core
+# count and the build type are recorded next to the numbers.
 #
 #   scripts/run_bench.sh [REPS]
 set -eu
@@ -35,6 +36,10 @@ while [ "$i" -lt "$REPS" ]; do
   fi
 done
 
+# CMakeLists.txt builds RelWithDebInfo when no build type is configured.
+build_type="$(sed -n 's/^CMAKE_BUILD_TYPE:STRING=//p' build/CMakeCache.txt)"
+build_type="${build_type:-RelWithDebInfo}"
+
 baseline_rate="$(sed -n 's/.*"mixed".*"events_per_sec": \([0-9]*\).*/\1/p' \
   results/bench_simkernel_baseline.json 2>/dev/null || echo 0)"
 
@@ -47,6 +52,8 @@ baseline_rate="$(sed -n 's/.*"mixed".*"events_per_sec": \([0-9]*\).*/\1/p' \
   else
     printf ',\n'
   fi
+  printf '  "host_cores": %s,\n' "$(nproc 2>/dev/null || echo 1)"
+  printf '  "build_type": "%s",\n' "$build_type"
   printf '  "reps": %s\n}\n' "$REPS"
 } > BENCH_simkernel.json
 

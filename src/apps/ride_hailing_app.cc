@@ -13,9 +13,13 @@ BuiltApp build_ride_hailing(const RideHailingAppParams& p) {
       "passenger-requests",
       [wl] { return std::make_unique<workloads::PassengerRequestSpout>(wl); },
       /*parallelism=*/1, p.request_rate);
+  // Every matching instance draws its pre-loaded driver slice from one
+  // shared one-pass split of the driver ids.
   const int matching = b.add_bolt(
       "matching",
-      [wl] { return std::make_unique<workloads::MatchingBolt>(wl); },
+      [wl, slices = std::make_shared<workloads::DriverSlices>()] {
+        return std::make_unique<workloads::MatchingBolt>(wl, slices);
+      },
       p.matching_parallelism);
   const int aggregation = b.add_bolt(
       "aggregation",

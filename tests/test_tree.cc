@@ -5,6 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <tuple>
+#include <vector>
 
 #include "multicast/capability.h"
 #include "multicast/tree.h"
@@ -67,15 +70,51 @@ TEST(Tree, SequentialIsAStar) {
   for (int v = 1; v <= 29; ++v) EXPECT_EQ(t.parent(v), 0);
 }
 
+// --- parameter sweeps -----------------------------------------------------
+// INSTANTIATE_TEST_SUITE_P gives every TEST_P of a fixture the same
+// parameters, so a test valid for only some of them would have to skip the
+// rest. These sweeps register each test with exactly its valid parameters
+// instead, under the names INSTANTIATE_TEST_SUITE_P uses
+// (Sweep/<suite>.<test>/<index> with GetParam() reported). ctest names a
+// case by its parameter value, so every valid case keeps its name.
+
+template <typename Param>
+class SweepCase : public ::testing::Test {
+ public:
+  SweepCase(void (*body)(const Param&), Param param)
+      : body_(body), param_(param) {}
+  void TestBody() override { body_(param_); }
+
+ private:
+  void (*body_)(const Param&);
+  Param param_;
+};
+
+template <typename Param>
+void register_sweep(const char* suite, const char* test,
+                    const std::vector<Param>& params,
+                    void (*body)(const Param&)) {
+  for (size_t i = 0; i < params.size(); ++i) {
+    const Param param = params[i];
+    ::testing::RegisterTest(
+        suite, (std::string(test) + "/" + std::to_string(i)).c_str(),
+        nullptr, ::testing::PrintToString(param).c_str(), __FILE__, __LINE__,
+        [=] { return new SweepCase<Param>(body, param); });
+  }
+}
+
 struct TreeParam {
   int n;
   int dstar;
 };
 
-class NonblockingTreeP : public ::testing::TestWithParam<TreeParam> {};
+const std::vector<TreeParam> kTreeSweep = {
+    {1, 1},   {2, 1},   {5, 1},   {7, 2},   {10, 2},  {29, 2},
+    {29, 3},  {29, 5},  {30, 4},  {63, 3},  {100, 2}, {100, 6},
+    {255, 4}, {479, 3}, {479, 9}, {480, 2}, {480, 16}};
 
-TEST_P(NonblockingTreeP, StructuralInvariants) {
-  const auto [n, dstar] = GetParam();
+void structural_invariants(const TreeParam& p) {
+  const auto [n, dstar] = p;
   auto t = MulticastTree::build_nonblocking(n, dstar);
   // Connected, consistent, degree-capped.
   EXPECT_EQ(t.validate(dstar), "") << "n=" << n << " d*=" << dstar;
@@ -86,11 +125,11 @@ TEST_P(NonblockingTreeP, StructuralInvariants) {
   EXPECT_EQ(t.out_degree(0), std::min(dstar, dlog));
 }
 
-TEST_P(NonblockingTreeP, LayerPopulationsMatchCapabilityRecurrence) {
+void layer_populations_match_capability_recurrence(const TreeParam& p) {
   // The strongest link between Algorithm 1 and Theorem 2: the number of
   // nodes covered by time unit t in the constructed tree equals L(t)
   // exactly, for every full layer (the last layer may be cut short by n).
-  const auto [n, dstar] = GetParam();
+  const auto [n, dstar] = p;
   auto t = MulticastTree::build_nonblocking(n, dstar);
   const int depth = t.depth();
   const auto L = multicast_capability(dstar, depth);
@@ -107,11 +146,10 @@ TEST_P(NonblockingTreeP, LayerPopulationsMatchCapabilityRecurrence) {
             static_cast<uint64_t>(n) + 1);
 }
 
-TEST_P(NonblockingTreeP, ScaleDownMovesSubtreesIntact) {
+void scale_down_moves_subtrees_intact(const TreeParam& p) {
   // Sec. 3.4: the switching algorithm re-attaches marked *subtrees* —
   // a moved node keeps its own children.
-  const auto [n, dstar] = GetParam();
-  if (dstar <= 1) GTEST_SKIP();
+  const auto [n, dstar] = p;
   auto t = MulticastTree::build_nonblocking(n, dstar);
   std::vector<std::vector<int>> children_before(
       static_cast<size_t>(t.num_nodes()));
@@ -138,23 +176,23 @@ TEST_P(NonblockingTreeP, ScaleDownMovesSubtreesIntact) {
   }
 }
 
-TEST_P(NonblockingTreeP, DepthMatchesCapabilityRecurrence) {
+void depth_matches_capability_recurrence(const TreeParam& p) {
   // The number of logical layers Algorithm 1 produces equals the number of
   // relay time units the L(t) recurrence needs to cover n destinations.
-  const auto [n, dstar] = GetParam();
+  const auto [n, dstar] = p;
   auto t = MulticastTree::build_nonblocking(n, dstar);
   EXPECT_EQ(t.depth(), time_units_to_cover(dstar, static_cast<uint64_t>(n)))
       << "n=" << n << " d*=" << dstar;
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, NonblockingTreeP,
-    ::testing::Values(TreeParam{1, 1}, TreeParam{2, 1}, TreeParam{5, 1},
-                      TreeParam{7, 2}, TreeParam{10, 2}, TreeParam{29, 2},
-                      TreeParam{29, 3}, TreeParam{29, 5}, TreeParam{30, 4},
-                      TreeParam{63, 3}, TreeParam{100, 2}, TreeParam{100, 6},
-                      TreeParam{255, 4}, TreeParam{479, 3}, TreeParam{479, 9},
-                      TreeParam{480, 2}, TreeParam{480, 16}));
+// Scaling down needs a cap of at least 2 to step down from.
+std::vector<TreeParam> scalable_down_trees() {
+  std::vector<TreeParam> out;
+  for (const TreeParam& p : kTreeSweep) {
+    if (p.dstar > 1) out.push_back(p);
+  }
+  return out;
+}
 
 TEST(Capability, BinomialDoubles) {
   const auto L = multicast_capability(30, 10);
@@ -225,12 +263,10 @@ TEST(Switching, Fig8bScaleUp) {
   EXPECT_LE(t.depth(), 3);
 }
 
-class SwitchSweepP
-    : public ::testing::TestWithParam<std::tuple<int, int, int>> {};
+using SwitchParam = std::tuple<int, int, int>;  // {n, d_from, d_to}
 
-TEST_P(SwitchSweepP, ScaleDownPreservesInvariants) {
-  const auto [n, d_from, d_to] = GetParam();
-  if (d_to >= d_from) GTEST_SKIP();
+void scale_down_preserves_invariants(const SwitchParam& p) {
+  const auto [n, d_from, d_to] = p;
   auto t = MulticastTree::build_nonblocking(n, d_from);
   const int before = t.num_destinations();
   t.plan_scale_down(d_to);
@@ -239,9 +275,8 @@ TEST_P(SwitchSweepP, ScaleDownPreservesInvariants) {
   EXPECT_EQ(t.num_destinations(), before);
 }
 
-TEST_P(SwitchSweepP, ScaleUpPreservesInvariantsAndNeverDeepens) {
-  const auto [n, d_from, d_to] = GetParam();
-  if (d_to <= d_from) GTEST_SKIP();
+void scale_up_preserves_invariants_and_never_deepens(const SwitchParam& p) {
+  const auto [n, d_from, d_to] = p;
   auto t = MulticastTree::build_nonblocking(n, d_from);
   const int depth_before = t.depth();
   const int before = t.num_destinations();
@@ -251,11 +286,38 @@ TEST_P(SwitchSweepP, ScaleUpPreservesInvariantsAndNeverDeepens) {
   EXPECT_LE(t.depth(), depth_before);
 }
 
-INSTANTIATE_TEST_SUITE_P(
-    Sweep, SwitchSweepP,
-    ::testing::Combine(::testing::Values(5, 7, 29, 64, 100, 480),
-                       ::testing::Values(1, 2, 3, 5, 8),
-                       ::testing::Values(1, 2, 3, 5, 8)));
+// Every n x (d_from, d_to) pair that switches in the given direction.
+std::vector<SwitchParam> switch_sweep(bool up) {
+  std::vector<SwitchParam> out;
+  for (int n : {5, 7, 29, 64, 100, 480}) {
+    for (int from : {1, 2, 3, 5, 8}) {
+      for (int to : {1, 2, 3, 5, 8}) {
+        if (up ? to > from : to < from) out.emplace_back(n, from, to);
+      }
+    }
+  }
+  return out;
+}
+
+[[maybe_unused]] const bool kSweepsRegistered = [] {
+  register_sweep("Sweep/NonblockingTreeP", "StructuralInvariants",
+                 kTreeSweep, &structural_invariants);
+  register_sweep("Sweep/NonblockingTreeP",
+                 "LayerPopulationsMatchCapabilityRecurrence", kTreeSweep,
+                 &layer_populations_match_capability_recurrence);
+  register_sweep("Sweep/NonblockingTreeP", "ScaleDownMovesSubtreesIntact",
+                 scalable_down_trees(), &scale_down_moves_subtrees_intact);
+  register_sweep("Sweep/NonblockingTreeP",
+                 "DepthMatchesCapabilityRecurrence", kTreeSweep,
+                 &depth_matches_capability_recurrence);
+  register_sweep("Sweep/SwitchSweepP", "ScaleDownPreservesInvariants",
+                 switch_sweep(/*up=*/false), &scale_down_preserves_invariants);
+  register_sweep("Sweep/SwitchSweepP",
+                 "ScaleUpPreservesInvariantsAndNeverDeepens",
+                 switch_sweep(/*up=*/true),
+                 &scale_up_preserves_invariants_and_never_deepens);
+  return true;
+}();
 
 TEST(Switching, RepeatedSwitchesStayValid) {
   auto t = MulticastTree::build_nonblocking(100, 4);
