@@ -1168,8 +1168,7 @@ void Engine::pump_task(TaskRt& t) {
   // Deliveries stashed behind a completed/aborted barrier go first: they
   // arrived before anything still waiting in the in-queue.
   if (state_on() && !t.aligning && !t.align_buf.empty()) {
-    Delivery d = std::move(t.align_buf.front());
-    t.align_buf.pop_front();
+    Delivery d = t.align_buf.pop_front();
     t.processing = true;
     process_tuple(t, std::move(d));
     return;
@@ -1428,9 +1427,7 @@ void Engine::deliver_local(TaskRt& dst,
   if (s.grouping == dsps::Grouping::kAll) {
     mcast_track_received(tup->root_id);
   }
-  Delivery d{tup, 0};
-  d.src_task = src_task;
-  d.gen = gen;
+  Delivery d{.tuple = tup, .gen = gen, .src_task = src_task};
   if (cfg_.enable_acking) {
     d.ack_edge = take_edge(tup->root_id, dst.id);
   }
@@ -3204,9 +3201,9 @@ void Engine::do_recover() {
   for (auto& tp : tasks_) {
     if (!tp->active) continue;
     for (const auto& tup : checkpoints_.committed_channel(tp->id)) {
-      Delivery d{std::make_shared<const dsps::Tuple>(tup), 0};
-      d.gen = recovery_gen_;
-      d.from_channel_state = true;
+      Delivery d{.tuple = std::make_shared<const dsps::Tuple>(tup),
+                 .gen = recovery_gen_,
+                 .from_channel_state = true};
       if (tp->in_queue->try_push(std::move(d))) {
         ++checkpoints_.stats().channel_replayed;
       } else {
@@ -3234,9 +3231,7 @@ void Engine::replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples) {
     if (workers_[static_cast<size_t>(st->worker)]->down) return;
     auto tup = std::make_shared<dsps::Tuple>((*list)[*idx]);
     tup->root_emit_time = cur_sim().now();
-    Delivery d{tup, 0};
-    d.replayed = true;
-    d.gen = gen;
+    Delivery d{.tuple = tup, .gen = gen, .replayed = true};
     if (st->in_queue->try_push(std::move(d))) {
       ++*idx;
       ++checkpoints_.stats().replayed_tuples;

@@ -11,7 +11,6 @@
 // tree) whose relays forward raw bytes without re-serialization.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -41,6 +40,7 @@
 #include "sim/cpu.h"
 #include "sim/parallel.h"
 #include "sim/queue.h"
+#include "sim/ring.h"
 #include "sim/simulation.h"
 #include "state/checkpoint.h"
 #include "state/remote_store.h"
@@ -139,40 +139,44 @@ class Engine {
   // An outbound message waiting in a worker's transfer queue.
   struct OutMsg {
     Bytes bytes;
-    int dst_worker = 0;
     Time enqueued = 0;
     uint64_t root_id = 0;  // 0 = untracked
-    bool control = false;
+    // Dataflow incarnation at send time. A recovery bumps the engine's
+    // generation; copies still on the wire from the previous incarnation
+    // are dropped at processing time (their roots are replayed from the
+    // epoch log), like a restarted system severing its old connections.
+    uint64_t gen = 0;
+    int dst_worker = 0;
     // Checkpointing metadata (simulation-side; not wire bytes). src_task
     // identifies the producing executor — barrier alignment is per input
     // channel (stream, upstream task). Barriers are never counted as data
     // losses; a lost barrier just aborts its epoch at the next tick.
     int32_t src_task = -1;
     bool barrier = false;
-    // Dataflow incarnation at send time. A recovery bumps the engine's
-    // generation; copies still on the wire from the previous incarnation
-    // are dropped at processing time (their roots are replayed from the
-    // epoch log), like a restarted system severing its old connections.
-    uint64_t gen = 0;
+    bool control = false;
     // Relayed multicast traffic arrives already batched (the relay READ
     // fetched a full bundle) and is forwarded immediately, bypassing the
     // slicing buffer — re-batching per hop would add WTL per tree layer.
     bool relay = false;
   };
+  // Fields ordered widest first: transfer queues hold thousands of these.
+  static_assert(sizeof(OutMsg) == 48);
 
   // A tuple instance delivered to an executor; the ack edge links it into
   // the root's XOR ledger when acking is enabled (0 = untracked).
   struct Delivery {
     std::shared_ptr<const dsps::Tuple> tuple;
     uint64_t ack_edge = 0;
+    uint64_t gen = 0;       // dataflow incarnation (see OutMsg::gen)
     int32_t src_task = -1;  // producing task (-1 = spout arrival/injection)
     bool replayed = false;  // checkpoint-recovery re-emission (skip the log)
-    uint64_t gen = 0;       // dataflow incarnation (see OutMsg::gen)
     // Re-injected in-flight channel state (unaligned barriers). Its root
     // may sit in the committed-roots filter — the original live pass was
     // filtered-exempt too, so this bypasses the sink dup filter.
     bool from_channel_state = false;
   };
+  // Fields ordered widest first: executor in-queues hold thousands of these.
+  static_assert(sizeof(Delivery) == 40);
 
   // A snapshot staged for one epoch: the blob to ship (full image, or a
   // page delta when the remote backend runs incrementally) plus the byte
@@ -226,7 +230,7 @@ class Engine {
     bool aligning = false;
     Time align_start = 0;
     std::unordered_set<uint64_t> barriers_from;  // channels already fenced
-    std::deque<Delivery> align_buf;  // post-barrier deliveries, stashed
+    sim::Ring<Delivery> align_buf;  // post-barrier deliveries, stashed
     // Unaligned barriers (cfg.state.unaligned): the snapshot is taken at
     // the FIRST barrier and the barrier forwarded immediately — no stall.
     // Until every channel fences, tuples on not-yet-fenced channels are

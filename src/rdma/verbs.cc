@@ -29,6 +29,7 @@ bool QueuePair::transmit(Bundle& bundle, std::function<void()> on_posted) {
     // signal that propagates back into the transfer queue.
     if (!ring_->produce(bytes)) return false;
     packets_sent_ += bundle.size();
+    pending_packets_ += bundle.size();
     pending_.push_back(std::move(bundle));
     bundle.clear();
     if (on_posted) fabric_.simulation().schedule_after(0, std::move(on_posted));
@@ -102,8 +103,9 @@ void QueuePair::maybe_fetch() {
             if (!batch.empty() && batch_bytes + sz > config_.read_batch_max)
               break;
             batch_bytes += sz;
-            for (auto& p : pending_.front()) batch.push_back(std::move(p));
-            pending_.pop_front();
+            Bundle unit = pending_.pop_front();
+            pending_packets_ -= unit.size();
+            for (auto& p : unit) batch.push_back(std::move(p));
           }
           const uint64_t wr_id = next_wr_id_++;
           const uint64_t n_pkts = batch.size();
@@ -141,16 +143,11 @@ void QueuePair::maybe_fetch() {
   });
 }
 
-size_t QueuePair::packets_pending() const {
-  size_t n = 0;
-  for (const auto& b : pending_) n += b.size();
-  return n;
-}
-
 void QueuePair::reset() {
   ++resets_;
   ++epoch_;  // fence: any in-flight fetch stage sees a stale epoch and bails
-  for (const auto& b : pending_) packets_lost_ += b.size();
+  packets_lost_ += pending_packets_;
+  pending_packets_ = 0;
   pending_.clear();
   read_outstanding_ = false;
   wedged_ = false;

@@ -21,7 +21,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
@@ -33,6 +32,7 @@
 #include "net/fabric.h"
 #include "rdma/ring_buffer.h"
 #include "sim/cpu.h"
+#include "sim/ring.h"
 
 namespace whale::rdma {
 
@@ -77,27 +77,32 @@ struct Completion {
   uint64_t bytes;
 };
 
-// Minimal completion queue: the simulation delivers completions through
-// callbacks, but the CQ keeps the records so tests and monitors can poll.
+// Fixed-depth completion queue. The simulation delivers completions through
+// callbacks (completion CPU is charged there), so the CQ is only an
+// observation window for tests and monitors: like a real CQ created with a
+// fixed `cqe`, it retains the kDepth most recent records and overwrites the
+// oldest when nobody polls. total() still counts every completion. Storage
+// is allocated on the first push.
 class CompletionQueue {
  public:
+  static constexpr size_t kDepth = 16;
+
   void push(const Completion& c) {
+    if (entries_.size() == kDepth) entries_.pop_front();
     entries_.push_back(c);
     ++total_;
   }
 
   std::optional<Completion> poll() {
     if (entries_.empty()) return std::nullopt;
-    Completion c = entries_.front();
-    entries_.pop_front();
-    return c;
+    return entries_.pop_front();
   }
 
   size_t depth() const { return entries_.size(); }
   uint64_t total() const { return total_; }
 
  private:
-  std::deque<Completion> entries_;
+  sim::Ring<Completion> entries_;
   uint64_t total_ = 0;
 };
 
@@ -174,7 +179,7 @@ class QueuePair {
   // Packets buffered on the producer side awaiting a READ fetch. Includes
   // packets wedged behind a READ request descriptor the fabric dropped
   // (the channel stays blocked until reset() re-arms it).
-  size_t packets_pending() const;
+  size_t packets_pending() const { return pending_packets_; }
   // Fetch-chain stages cancelled by the epoch fence: a reset() raced an
   // in-flight READ and the late completion discarded itself instead of
   // touching the re-created ring.
@@ -204,9 +209,12 @@ class QueuePair {
   // READ discipline state: producer-side ring + FIFO of posted fetch
   // units. Each transmit() posts ONE contiguous ring region (one sliced
   // work request); the consumer READs whole units sequentially, batching
-  // consecutive units up to read_batch_max.
+  // consecutive units up to read_batch_max. The FIFO holds no storage
+  // until the first READ-mode transmit; pending_packets_ counts the
+  // packets across its units.
   std::unique_ptr<RingMemoryRegion> ring_;
-  std::deque<Bundle> pending_;
+  sim::Ring<Bundle> pending_;
+  size_t pending_packets_ = 0;
   bool read_outstanding_ = false;
   std::vector<std::function<void()>> space_waiters_;
   // Incremented by reset(); in-flight fetch callbacks capture the epoch

@@ -62,6 +62,29 @@ class Ring {
     return slots_[head_];
   }
 
+  // Destroys every item and releases the slab, back to the zero-byte state.
+  void clear() { destroy(); }
+
+  // Read-only front-to-back traversal (FIFO order).
+  class const_iterator {
+   public:
+    const_iterator(const Ring* ring, size_t i) : ring_(ring), i_(i) {}
+    const T& operator*() const {
+      return ring_->slots_[(ring_->head_ + i_) & ring_->mask_];
+    }
+    const_iterator& operator++() {
+      ++i_;
+      return *this;
+    }
+    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
+
+   private:
+    const Ring* ring_;
+    size_t i_;
+  };
+  const_iterator begin() const { return const_iterator(this, 0); }
+  const_iterator end() const { return const_iterator(this, size_); }
+
  private:
   static constexpr size_t kMinCapacity = 8;
 

@@ -8,9 +8,14 @@
 //    RunReport fingerprint, run after run.
 //  - frame() over a PoolWriter prepends the envelope in place: the payload
 //    bytes are never copied (pointer identity through the pool).
+//  - Idle transport state is free: constructing a QueuePair, an empty
+//    CompletionQueue or an empty sim::Ring allocates no container storage
+//    (a counting operator new in this binary checks it).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <cstring>
+#include <new>
 #include <string>
 #include <vector>
 
@@ -20,8 +25,31 @@
 #include "core/engine.h"
 #include "core/message.h"
 #include "dsps/serde.h"
+#include "net/fabric.h"
+#include "rdma/verbs.h"
+#include "sim/cpu.h"
 #include "sim/queue.h"
+#include "sim/ring.h"
 #include "sim/simulation.h"
+
+// Every global operator new in this binary bumps the counter; the
+// allocation-guard tests read it around a construction. The standard
+// library's new[] forwards here; nothing tested uses over-aligned types.
+namespace {
+uint64_t g_allocs = 0;
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocs;
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+// Kept out of line: inlined into a new-expression's caller, the free()
+// trips GCC's -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept {
+  std::free(p);
+}
 
 namespace whale {
 namespace {
@@ -231,6 +259,85 @@ TEST(Simulation, SchedulingIsAllocationFreeAtSteadyState) {
   s.schedule_after(1, Chain{&s, 1000});
   s.run();
   EXPECT_EQ(s.events_processed(), before + 1000);
+}
+
+// --- idle transport state allocates nothing ---------------------------------
+
+template <typename Fn>
+uint64_t allocations_during(Fn&& fn) {
+  const uint64_t before = g_allocs;
+  fn();
+  return g_allocs - before;
+}
+
+class IdleTransportTest : public ::testing::Test {
+ protected:
+  IdleTransportTest() {
+    spec_.num_nodes = 2;
+    fabric_ = std::make_unique<net::Fabric>(sim_, spec_);
+    cpu_a_ = std::make_unique<sim::CpuServer>(sim_, "a");
+    cpu_b_ = std::make_unique<sim::CpuServer>(sim_, "b");
+  }
+
+  // Allocations made by constructing (and destroying) an idle QP.
+  uint64_t idle_qp_allocations(rdma::Verb verb) {
+    rdma::QpConfig qc;
+    qc.verb = verb;
+    return allocations_during([&] {
+      rdma::QueuePair qp(*fabric_, cost_, qc,
+                         rdma::QpEndpoint{0, cpu_a_.get()},
+                         rdma::QpEndpoint{1, cpu_b_.get()});
+      EXPECT_EQ(qp.packets_pending(), 0u);
+    });
+  }
+
+  sim::Simulation sim_;
+  net::ClusterSpec spec_;
+  net::CostModel cost_;
+  std::unique_ptr<net::Fabric> fabric_;
+  std::unique_ptr<sim::CpuServer> cpu_a_, cpu_b_;
+};
+
+TEST_F(IdleTransportTest, SendAndWriteQueuePairsAllocateNothing) {
+  EXPECT_EQ(idle_qp_allocations(rdma::Verb::kSendRecv), 0u);
+  EXPECT_EQ(idle_qp_allocations(rdma::Verb::kWrite), 0u);
+}
+
+TEST_F(IdleTransportTest, ReadQueuePairAllocatesOnlyItsRingRegion) {
+  EXPECT_EQ(idle_qp_allocations(rdma::Verb::kRead), 1u);
+}
+
+TEST(IdleTransport, EmptyCompletionQueueAllocatesNothing) {
+  EXPECT_EQ(allocations_during([] {
+              rdma::CompletionQueue cq;
+              EXPECT_FALSE(cq.poll().has_value());
+              EXPECT_EQ(cq.depth(), 0u);
+            }),
+            0u);
+}
+
+TEST(IdleTransport, EmptyRingAllocatesNothingAndClearReleases) {
+  EXPECT_EQ(allocations_during([] {
+              sim::Ring<std::string> r;
+              EXPECT_TRUE(r.empty());
+              EXPECT_EQ(r.capacity(), 0u);
+              EXPECT_TRUE(r.begin() == r.end());
+            }),
+            0u);
+  // Fill the first slab, pop three and push three more so the live items
+  // wrap past the end of the slab: iteration still runs in FIFO order.
+  sim::Ring<int> r;
+  for (int i = 0; i < 8; ++i) r.push_back(i);
+  const size_t cap = r.capacity();
+  for (int i = 0; i < 3; ++i) (void)r.pop_front();
+  for (int i = 8; i < 11; ++i) r.push_back(i);
+  ASSERT_EQ(r.capacity(), cap);
+  int expect = 3;
+  for (int v : r) EXPECT_EQ(v, expect++);
+  EXPECT_EQ(expect, 11);
+  r.clear();
+  EXPECT_TRUE(r.empty());
+  EXPECT_EQ(r.capacity(), 0u);
 }
 
 }  // namespace

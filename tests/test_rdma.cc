@@ -203,5 +203,115 @@ TEST_F(QpTest, CompletionQueuePollDrains) {
   EXPECT_FALSE(qp->send_cq().poll().has_value());
 }
 
+// The CQ is a fixed-depth window: an unpolled QP keeps only the most recent
+// kDepth completions, while total() counts every work request. wr_ids are
+// 1-based in post order and every request here carries 100 bytes.
+void expect_last_completions(CompletionQueue& cq, uint64_t posts, Verb verb) {
+  EXPECT_EQ(cq.total(), posts);
+  ASSERT_EQ(cq.depth(), CompletionQueue::kDepth);
+  for (uint64_t wr = posts - CompletionQueue::kDepth + 1; wr <= posts; ++wr) {
+    auto c = cq.poll();
+    ASSERT_TRUE(c.has_value());
+    EXPECT_EQ(c->wr_id, wr);
+    EXPECT_EQ(c->verb, verb);
+    EXPECT_EQ(c->bytes, 100u);
+  }
+  EXPECT_FALSE(cq.poll().has_value());
+  EXPECT_EQ(cq.depth(), 0u);
+}
+
+TEST_F(QpTest, CompletionQueueKeepsMostRecentOnSendQp) {
+  constexpr uint64_t kPosts = 10 * CompletionQueue::kDepth;
+  auto qp = make_qp(Verb::kSendRecv);
+  qp->set_recv_handler([](Packet) {});
+  for (uint64_t i = 0; i < kPosts; ++i) qp->transmit(Bundle{packet(100, i)});
+  sim_.run();
+  expect_last_completions(qp->send_cq(), kPosts, Verb::kSendRecv);
+}
+
+TEST_F(QpTest, CompletionQueueKeepsMostRecentOnReadQp) {
+  constexpr uint64_t kPosts = 10 * CompletionQueue::kDepth;
+  QpConfig qc;
+  qc.verb = Verb::kRead;
+  qc.read_batch_max = 100;  // one posted unit per READ
+  QueuePair qp(*fabric_, cost_, qc, QpEndpoint{0, cpu_a_.get()},
+               QpEndpoint{1, cpu_b_.get()});
+  qp.set_recv_handler([](Packet) {});
+  for (uint64_t i = 0; i < kPosts; ++i) {
+    ASSERT_TRUE(qp.transmit(Bundle{packet(100, i)}));
+  }
+  sim_.run();
+  ASSERT_EQ(qp.reads_issued(), kPosts);
+  expect_last_completions(qp.send_cq(), kPosts, Verb::kRead);
+}
+
+// --- READ-mode pending / lost accounting ---------------------------------------
+
+class ReadAccountingTest : public QpTest {
+ protected:
+  static constexpr size_t kUnits = 5;
+  static constexpr size_t kPerUnit = 3;
+
+  // Posts kUnits bundles of kPerUnit packets. The first fetch is only
+  // scheduled, so every packet is still pending when this returns.
+  void post_all(QueuePair& qp) {
+    for (size_t u = 0; u < kUnits; ++u) {
+      Bundle b;
+      for (size_t i = 0; i < kPerUnit; ++i) b.push_back(packet(50, u));
+      ASSERT_TRUE(qp.transmit(b));
+    }
+  }
+};
+
+TEST_F(ReadAccountingTest, RunDrainsEveryPendingPacket) {
+  auto qp = make_qp(Verb::kRead);
+  int delivered = 0;
+  qp->set_recv_handler([&](Packet) { ++delivered; });
+  post_all(*qp);
+  EXPECT_EQ(qp->packets_pending(), kUnits * kPerUnit);
+  EXPECT_EQ(qp->wedged_packets(), 0u);  // healthy channel: it will drain
+  sim_.run();
+  EXPECT_EQ(delivered, static_cast<int>(kUnits * kPerUnit));
+  EXPECT_EQ(qp->packets_delivered(), kUnits * kPerUnit);
+  EXPECT_EQ(qp->packets_pending(), 0u);
+  EXPECT_EQ(qp->packets_lost(), 0u);
+}
+
+TEST_F(ReadAccountingTest, ResetMovesPendingIntoLost) {
+  auto qp = make_qp(Verb::kRead);
+  int delivered = 0;
+  qp->set_recv_handler([&](Packet) { ++delivered; });
+  post_all(*qp);
+  ASSERT_EQ(qp->packets_pending(), kUnits * kPerUnit);
+  qp->reset();
+  EXPECT_EQ(qp->packets_lost(), kUnits * kPerUnit);
+  EXPECT_EQ(qp->packets_pending(), 0u);
+  sim_.run();
+  // The fetch scheduled before the reset is fenced off by the epoch.
+  EXPECT_EQ(delivered, 0);
+  EXPECT_EQ(qp->reads_cancelled(), 1u);
+  EXPECT_EQ(qp->packets_lost(), kUnits * kPerUnit);
+  // The re-created channel carries new traffic normally.
+  post_all(*qp);
+  sim_.run();
+  EXPECT_EQ(delivered, static_cast<int>(kUnits * kPerUnit));
+  EXPECT_EQ(qp->packets_pending(), 0u);
+}
+
+TEST_F(ReadAccountingTest, DroppedReadRequestWedgesPendingPackets) {
+  auto qp = make_qp(Verb::kRead);
+  qp->set_recv_handler([](Packet) {});
+  fabric_->set_node_up(0, false);  // the READ request to the producer drops
+  post_all(*qp);
+  sim_.run();
+  ASSERT_TRUE(qp->wedged());
+  EXPECT_EQ(qp->wedged_packets(), kUnits * kPerUnit);
+  EXPECT_EQ(qp->packets_pending(), kUnits * kPerUnit);
+  qp->reset();
+  EXPECT_FALSE(qp->wedged());
+  EXPECT_EQ(qp->wedged_packets(), 0u);
+  EXPECT_EQ(qp->packets_lost(), kUnits * kPerUnit);
+}
+
 }  // namespace
 }  // namespace whale::rdma
