@@ -1,6 +1,6 @@
 // Freelist pool for small fixed-lifetime blocks: continuation captures
 // that outgrow InlineFunction's inline buffer, loop_async chain state,
-// shared-tuple control blocks. The engine churns hundreds of thousands of
+// shared-tuple blocks (dsps::TupleRef), tuple value arrays. The engine churns hundreds of thousands of
 // these per run, all of a handful of sizes — recycling them through
 // per-size-class freelists makes steady-state continuation traffic
 // allocation-free, the same trick BufferPool plays for message payloads.
@@ -107,9 +107,8 @@ inline void slab_free(void* p, size_t n) {
   SlabPool::instance().deallocate(p, n);
 }
 
-// Minimal std allocator over the slab; std::allocate_shared with this
-// puts the control block + object in one recycled slab block, making
-// shared tuples allocation-free in steady state.
+// Minimal std allocator over the slab, for short-lived vectors (tuple
+// value arrays, per-event id lists).
 template <typename T>
 struct SlabAllocator {
   using value_type = T;

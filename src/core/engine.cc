@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cassert>
+#include <span>
 #include <stdexcept>
 
 #include "common/logging.h"
@@ -1113,29 +1114,28 @@ void Engine::schedule_arrival(int task) {
       if (cur_sim().now() < window_end_) schedule_arrival(task);
       return;
     }
-    auto tuple = std::allocate_shared<dsps::Tuple>(
-        SlabAllocator<dsps::Tuple>{}, tk.spout->next(tk.spout_rng));
-    auto* mut = const_cast<dsps::Tuple*>(tuple.get());
-    mut->root_id = tk.next_root;
+    dsps::Tuple next = tk.spout->next(tk.spout_rng);
+    next.root_id = tk.next_root;
     tk.next_root += tk.root_stride;
-    mut->root_emit_time = cur_sim().now();
+    next.root_emit_time = cur_sim().now();
+    const dsps::TupleRef tuple(std::move(next));
     if (in_window()) {
       auto lk = shared_guard();
       ++report_.roots_emitted;
     }
     if (c_roots_) c_roots_->inc();
-    if (trace_on() && tracer_.sampled(mut->root_id)) {
+    if (trace_on() && tracer_.sampled(tuple->root_id)) {
       tracer_.instant("spout.emit", "app", tk.worker, obs::kLaneApp,
-                      cur_sim().now(), mut->root_id);
+                      cur_sim().now(), tuple->root_id);
     }
     if (cfg_.enable_acking) {
-      acker_.root_emitted(mut->root_id, cur_sim().now());
+      acker_.root_emitted(tuple->root_id, cur_sim().now());
       // Checkpoint recovery replaces the acker's timeout replay for this
       // run: rewind comes from the epoch log, not the replay buffer.
       const bool ckpt_replay = state_on() && cfg_.state.recover_from_checkpoint;
       if (cfg_.replay_on_failure && !ckpt_replay &&
           replays_.size() < kMaxTrackedTuples) {
-        replays_.emplace(mut->root_id, ReplayState{*tuple, task, 0});
+        replays_.emplace(tuple->root_id, ReplayState{*tuple, task, 0});
       }
     }
     Delivery arrival{tuple, 0};
@@ -1214,7 +1214,7 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
       return;
     }
   }
-  std::shared_ptr<const dsps::Tuple> tuple = std::move(d.tuple);
+  const dsps::TupleRef tuple = std::move(d.tuple);
   const uint64_t ack_edge = d.ack_edge;
   const bool replayed = d.replayed;
   const auto& op = topo_.ops[static_cast<size_t>(t.op)];
@@ -1369,14 +1369,13 @@ void Engine::send_emission(TaskRt& t, dsps::Tuple tuple, int stream,
                            InlineFunction done) {
   const auto& s = topo_.streams[static_cast<size_t>(stream)];
   tuple.stream = static_cast<uint32_t>(stream);
-  auto tup = std::allocate_shared<const dsps::Tuple>(
-      SlabAllocator<dsps::Tuple>{}, std::move(tuple));
+  const dsps::TupleRef tup(std::move(tuple));
   auto& strat = *t.strategies[out_index(t.op, stream)];
 
   if (strat.broadcast()) {
     auto it = stream_to_group_.find(stream);
     if (it != stream_to_group_.end()) {
-      send_mcast(t, *groups_[it->second], std::move(tup), std::move(done));
+      send_mcast(t, *groups_[it->second], tup, std::move(done));
       return;
     }
     // Instance-oriented sequential all-grouping (Storm / RDMA-Storm).
@@ -1385,20 +1384,18 @@ void Engine::send_emission(TaskRt& t, dsps::Tuple tuple, int stream,
       mcast_track_start(tup->root_id, tup->root_emit_time,
                         static_cast<uint32_t>(dsts.size()));
     }
-    send_point_to_point(t, std::move(tup),
-                        PooledVec<int>(dsts.begin(), dsts.end()),
+    send_point_to_point(t, tup, PooledVec<int>(dsts.begin(), dsts.end()),
                         std::move(done));
     return;
   }
 
   const auto& dst_tasks = op_tasks_[static_cast<size_t>(s.to_op)];
   const int dst = dst_tasks[strat.select(*tup, dst_tasks.size())];
-  send_point_to_point(t, std::move(tup), PooledVec<int>{dst}, std::move(done));
+  send_point_to_point(t, tup, PooledVec<int>{dst}, std::move(done));
 }
 
-void Engine::deliver_local(TaskRt& dst,
-                           std::shared_ptr<const dsps::Tuple> tup,
-                           int src_task, uint64_t gen) {
+void Engine::deliver_local(TaskRt& dst, const dsps::TupleRef& tup,
+                           int src_task, uint32_t gen) {
   const bool bar = state_on() && state::is_barrier(*tup);
   if (workers_[static_cast<size_t>(dst.worker)]->down) {
     if (bar) {
@@ -1470,10 +1467,8 @@ uint64_t Engine::take_edge(uint64_t root, int task) {
   return edge;
 }
 
-void Engine::send_point_to_point(TaskRt& t,
-                                 std::shared_ptr<const dsps::Tuple> tup,
-                                 PooledVec<int> dsts,
-                                 InlineFunction done) {
+void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
+                                 PooledVec<int> dsts, InlineFunction done) {
   auto& w = *workers_[static_cast<size_t>(t.worker)];
   const bool bar = state_on() && state::is_barrier(*tup);
   if (cfg_.enable_acking) {
@@ -1575,24 +1570,37 @@ void Engine::send_point_to_point(TaskRt& t,
     }
 
     // Worker-oriented: serialize the body once, then one BatchTuple per
-    // destination worker carrying that worker's local task ids.
-    PooledVec<PooledVec<int32_t>> per_worker(workers_.size());
-    for (int d : remote) {
-      per_worker[static_cast<size_t>(tasks_[static_cast<size_t>(d)]->worker)]
-          .push_back(d);
+    // destination worker carrying that worker's local task ids. Sorting
+    // (worker, position) keys groups the short remote list by worker in
+    // ascending order and keeps each worker's ids in emission order; the
+    // cost scales with the destinations, not with the cluster size.
+    PooledVec<uint64_t> keys;
+    keys.reserve(remote.size());
+    for (size_t i = 0; i < remote.size(); ++i) {
+      const auto wk = static_cast<uint64_t>(
+          tasks_[static_cast<size_t>(remote[i])]->worker);
+      keys.push_back(wk << 32 | i);
     }
+    std::sort(keys.begin(), keys.end());
+    PooledVec<int32_t> ids;
+    ids.reserve(keys.size());
+    for (uint64_t k : keys) ids.push_back(remote[k & 0xffffffffu]);
     struct Target {
       int worker;
       Bytes bytes;
     };
     PooledVec<Target> targets;
-    for (size_t wk = 0; wk < per_worker.size(); ++wk) {
-      if (per_worker[wk].empty()) continue;
-      PoolWriter pw(tup->approx_bytes() + 40 + per_worker[wk].size() * 2,
+    for (size_t i = 0; i < keys.size();) {
+      const uint64_t wk = keys[i] >> 32;
+      size_t j = i + 1;
+      while (j < keys.size() && keys[j] >> 32 == wk) ++j;
+      const std::span<const int32_t> group(ids.data() + i, j - i);
+      PoolWriter pw(tup->approx_bytes() + 40 + group.size() * 2,
                     kFrameHeadroom);
-      dsps::TupleSerde::encode_batch_into(pw, per_worker[wk], *tup);
+      dsps::TupleSerde::encode_batch_into(pw, group, *tup);
       targets.push_back(Target{static_cast<int>(wk),
                                frame(MsgKind::kBatchData, 0, std::move(pw))});
+      i = j;
     }
     const Duration first_ser =
         cfg_.cost.ser_time(dsps::TupleSerde::body_size(*tup));
@@ -1668,8 +1676,7 @@ void Engine::send_point_to_point(TaskRt& t,
   }
 }
 
-void Engine::send_mcast(TaskRt& t, McastGroup& g,
-                        std::shared_ptr<const dsps::Tuple> tup,
+void Engine::send_mcast(TaskRt& t, McastGroup& g, const dsps::TupleRef& tup,
                         InlineFunction done) {
   auto& w = *workers_[static_cast<size_t>(t.worker)];
   const uint64_t root = tup->root_id;
@@ -2012,14 +2019,13 @@ void Engine::dispatch_instance(WorkerRt& w, rdma::Packet pkt) {
         const Envelope env = peek(*pkt.bytes);
         auto m = dsps::TupleSerde::decode_instance_message(
             payload_of(*pkt.bytes, env));
-        auto tup = std::allocate_shared<const dsps::Tuple>(
-            SlabAllocator<dsps::Tuple>{}, std::move(m.tuple));
+        const dsps::TupleRef tup(std::move(m.tuple));
         if (trace_on() && tracer_.sampled(tup->root_id)) {
           tracer_.complete("dispatch", "recv", wr->id, obs::kLaneRecv,
                            cur_sim().now() - cost, cost, tup->root_id);
         }
-        deliver_local(*tasks_[static_cast<size_t>(m.dst_task)],
-                      std::move(tup), pkt.src_task, pkt.gen);
+        deliver_local(*tasks_[static_cast<size_t>(m.dst_task)], tup,
+                      pkt.src_task, pkt.gen);
       });
 }
 
@@ -2037,8 +2043,7 @@ void Engine::dispatch_batch(WorkerRt& w, rdma::Packet pkt) {
   w.recv_cpu->execute(cost, sim::CpuCategory::kSerialization,
                       [this, wr, cost, src = pkt.src_task, gen = pkt.gen,
                        m = std::move(m)]() mutable {
-                        auto tup = std::allocate_shared<const dsps::Tuple>(
-                            SlabAllocator<dsps::Tuple>{}, std::move(m.tuple));
+                        const dsps::TupleRef tup(std::move(m.tuple));
                         if (trace_on() && tracer_.sampled(tup->root_id)) {
                           tracer_.complete("dispatch", "recv", wr->id,
                                            obs::kLaneRecv, cur_sim().now() - cost,
@@ -2073,8 +2078,7 @@ void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
       deser, sim::CpuCategory::kSerialization,
       [this, wr, graw, ep, deser, pkt = std::move(pkt), e] {
         ByteReader r(payload_of(*pkt.bytes, e));
-        auto tup = std::allocate_shared<const dsps::Tuple>(
-            SlabAllocator<dsps::Tuple>{}, dsps::TupleSerde::decode_body(r));
+        const dsps::TupleRef tup(dsps::TupleSerde::decode_body(r));
         if (trace_on() && tracer_.sampled(tup->root_id)) {
           tracer_.complete("dispatch", "recv", wr->id, obs::kLaneRecv,
                            cur_sim().now() - deser, deser, tup->root_id);
@@ -2091,7 +2095,7 @@ void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
           }
         } else {
           const int task = graw->endpoints[static_cast<size_t>(ep)];
-          deliver_local(*tasks_[static_cast<size_t>(task)], std::move(tup),
+          deliver_local(*tasks_[static_cast<size_t>(task)], tup,
                         graw->src_task, pkt.gen);
         }
       });
@@ -2156,6 +2160,9 @@ void Engine::mcast_track_start(uint64_t root_id, Time emit, uint32_t total) {
 }
 
 void Engine::mcast_track_received(uint64_t root_id) {
+  // Only sampled roots are ever started (see mcast_track_start's callers):
+  // every other delivery skips the lock and the lookup.
+  if (root_id == 0 || root_id % cfg_.tuple_sample_stride != 0) return;
   auto lk = shared_guard();
   auto it = mcast_tracks_.find(root_id);
   if (it == mcast_tracks_.end()) return;
@@ -2544,7 +2551,7 @@ void Engine::on_node_restart(int node) {
   // uncommitted emissions. recovery_gen_ lets a newer restart supersede a
   // restore still in flight.
   if (state_on() && cfg_.state.recover_from_checkpoint) {
-    const uint64_t gen = ++recovery_gen_;
+    const uint32_t gen = ++recovery_gen_;
     if (remote_state_on()) {
       // One-sided READ of the committed images off the state host; the
       // restarted node's receive CPU posts it, the host CPU stays idle.
@@ -2682,9 +2689,9 @@ void Engine::maybe_replay(uint64_t root) {
     return;
   }
   ++it->second.attempts;
-  auto tuple = std::make_shared<dsps::Tuple>(it->second.tuple);
-  tuple->root_id = root;
-  tuple->root_emit_time = cur_sim().now();
+  dsps::Tuple tuple = it->second.tuple;
+  tuple.root_id = root;
+  tuple.root_emit_time = cur_sim().now();
   ++report_.replayed_roots;
   // Each replay is a fresh emission instance for conservation purposes:
   // the earlier instance was already written off as lost/dropped.
@@ -2694,7 +2701,7 @@ void Engine::maybe_replay(uint64_t root) {
                     root);
   }
   acker_.root_emitted(root, cur_sim().now());
-  Delivery rep{tuple, 0};
+  Delivery rep{dsps::TupleRef(std::move(tuple)), 0};
   rep.gen = recovery_gen_;
   if (!tk.in_queue->try_push(std::move(rep))) {
     // Spout queue full: fail again, which re-enters maybe_replay (bounded
@@ -2765,9 +2772,8 @@ void Engine::inject_epoch() {
     if (!tp->spout) continue;
     ++checkpoints_.stats().barriers_injected;
     if (c_barriers_) c_barriers_->inc();
-    auto b = std::make_shared<const dsps::Tuple>(
-        state::make_barrier(epoch, /*src_task=*/-1));
-    Delivery bd{b, 0};
+    Delivery bd{dsps::TupleRef(state::make_barrier(epoch, /*src_task=*/-1)),
+                0};
     bd.gen = recovery_gen_;
     if (!tp->in_queue->try_push(std::move(bd))) {
       // A spout queue so full even the barrier bounces: give up on this
@@ -3064,7 +3070,7 @@ void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
     const int stream = streams[idx++];
     auto bar = state::make_barrier(epoch, traw->id);
     bar.stream = static_cast<uint32_t>(stream);
-    auto tup = std::make_shared<const dsps::Tuple>(std::move(bar));
+    const dsps::TupleRef tup(std::move(bar));
     auto git = stream_to_group_.find(stream);
     if (git != stream_to_group_.end()) {
       auto& g = *groups_[git->second];
@@ -3076,14 +3082,13 @@ void Engine::forward_barrier(TaskRt& t, uint64_t epoch,
         return;
       }
       g.barrier_pending += static_cast<int>(g.total_dst_instances);
-      send_mcast(*traw, g, std::move(tup), [next] { next(); });
+      send_mcast(*traw, g, tup, [next] { next(); });
       return;
     }
     const auto& s = topo_.streams[static_cast<size_t>(stream)];
     // Every downstream channel needs the barrier, whatever the grouping.
     const auto& all = op_tasks_[static_cast<size_t>(s.to_op)];
-    send_point_to_point(*traw, std::move(tup),
-                        PooledVec<int>(all.begin(), all.end()),
+    send_point_to_point(*traw, tup, PooledVec<int>(all.begin(), all.end()),
                         [next] { next(); });
   });
 }
@@ -3201,7 +3206,7 @@ void Engine::do_recover() {
   for (auto& tp : tasks_) {
     if (!tp->active) continue;
     for (const auto& tup : checkpoints_.committed_channel(tp->id)) {
-      Delivery d{.tuple = std::make_shared<const dsps::Tuple>(tup),
+      Delivery d{.tuple = dsps::TupleRef(tup),
                  .gen = recovery_gen_,
                  .from_channel_state = true};
       if (tp->in_queue->try_push(std::move(d))) {
@@ -3223,15 +3228,17 @@ void Engine::do_recover() {
 void Engine::replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples) {
   auto list = std::make_shared<std::vector<dsps::Tuple>>(std::move(tuples));
   auto idx = std::make_shared<size_t>(0);
-  const uint64_t gen = recovery_gen_;
+  const uint32_t gen = recovery_gen_;
   TaskRt* st = &s;
   loop_async([this, list, idx, st, gen](auto next) {
     if (gen != recovery_gen_) return;  // a newer recovery owns the rewind
     if (*idx >= list->size()) return;
     if (workers_[static_cast<size_t>(st->worker)]->down) return;
-    auto tup = std::make_shared<dsps::Tuple>((*list)[*idx]);
-    tup->root_emit_time = cur_sim().now();
-    Delivery d{.tuple = tup, .gen = gen, .replayed = true};
+    dsps::Tuple tup = (*list)[*idx];
+    tup.root_emit_time = cur_sim().now();
+    const uint64_t root = tup.root_id;
+    Delivery d{.tuple = dsps::TupleRef(std::move(tup)), .gen = gen,
+               .replayed = true};
     if (st->in_queue->try_push(std::move(d))) {
       ++*idx;
       ++checkpoints_.stats().replayed_tuples;
@@ -3239,7 +3246,7 @@ void Engine::replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples) {
       // (the earlier instance was written off as lost at the rollback).
       if (c_roots_) c_roots_->inc();
       if (c_ckpt_replays_) c_ckpt_replays_->inc();
-      if (cfg_.enable_acking) acker_.root_emitted(tup->root_id, cur_sim().now());
+      if (cfg_.enable_acking) acker_.root_emitted(root, cur_sim().now());
       // One event per injected tuple keeps the recursion flat and lets
       // replay interleave with regular pumping deterministically.
       cur_sim().schedule_after(0, [next] { next(); });

@@ -145,7 +145,7 @@ class Engine {
     // generation; copies still on the wire from the previous incarnation
     // are dropped at processing time (their roots are replayed from the
     // epoch log), like a restarted system severing its old connections.
-    uint64_t gen = 0;
+    uint32_t gen = 0;
     int dst_worker = 0;
     // Checkpointing metadata (simulation-side; not wire bytes). src_task
     // identifies the producing executor — barrier alignment is per input
@@ -160,23 +160,26 @@ class Engine {
     bool relay = false;
   };
   // Fields ordered widest first: transfer queues hold thousands of these.
-  static_assert(sizeof(OutMsg) == 48);
+  static_assert(sizeof(OutMsg) == 40);
 
   // A tuple instance delivered to an executor; the ack edge links it into
   // the root's XOR ledger when acking is enabled (0 = untracked).
   struct Delivery {
-    std::shared_ptr<const dsps::Tuple> tuple;
+    dsps::TupleRef tuple;
     uint64_t ack_edge = 0;
-    uint64_t gen = 0;       // dataflow incarnation (see OutMsg::gen)
-    int32_t src_task = -1;  // producing task (-1 = spout arrival/injection)
-    bool replayed = false;  // checkpoint-recovery re-emission (skip the log)
+    uint32_t gen = 0;  // dataflow incarnation (see OutMsg::gen)
+    // Producing task (-1 = spout arrival/injection), packed with the two
+    // flags into one 32-bit word.
+    int32_t src_task : 30 = -1;
+    bool replayed : 1 = false;  // checkpoint-recovery re-emission (skip the log)
     // Re-injected in-flight channel state (unaligned barriers). Its root
     // may sit in the committed-roots filter — the original live pass was
     // filtered-exempt too, so this bypasses the sink dup filter.
-    bool from_channel_state = false;
+    bool from_channel_state : 1 = false;
   };
-  // Fields ordered widest first: executor in-queues hold thousands of these.
-  static_assert(sizeof(Delivery) == 40);
+  // Executor in-queues hold up to hundreds of thousands of these (a
+  // post-restart backlog): 8-byte handle, ack edge, generation, packed word.
+  static_assert(sizeof(Delivery) == 24);
 
   // A snapshot staged for one epoch: the blob to ship (full image, or a
   // page delta when the remote backend runs incrementally) plus the byte
@@ -356,10 +359,9 @@ class Engine {
   // `dsts` rides a pooled vector: the common shuffle/fields case is a
   // one-element list built per tuple, which would otherwise be a heap
   // allocation on every send.
-  void send_point_to_point(TaskRt& t, std::shared_ptr<const dsps::Tuple> tup,
+  void send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
                            PooledVec<int> dsts, InlineFunction done);
-  void send_mcast(TaskRt& t, McastGroup& g,
-                  std::shared_ptr<const dsps::Tuple> tup,
+  void send_mcast(TaskRt& t, McastGroup& g, const dsps::TupleRef& tup,
                   InlineFunction done);
   // Pushes to the worker's transfer queue, waiting for space when full.
   void push_out(WorkerRt& w, OutMsg msg, InlineFunction done);
@@ -367,8 +369,8 @@ class Engine {
   // attributes packet processing to the upstream instance, Fig. 2d).
   std::pair<Duration, sim::CpuCategory> source_send_cost(
       uint64_t bytes) const;
-  void deliver_local(TaskRt& dst, std::shared_ptr<const dsps::Tuple> tup,
-                     int src_task, uint64_t gen);
+  void deliver_local(TaskRt& dst, const dsps::TupleRef& tup, int src_task,
+                     uint32_t gen);
 
   // --- send/receive loops ---------------------------------------------------
   void pump_worker(WorkerRt& w);
@@ -582,7 +584,7 @@ class Engine {
   // RDMA-resident state backend (cfg_.state.remote): snapshot WRITEs and
   // recovery READs against the state-host node appended to the fabric.
   std::unique_ptr<state::RemoteStateBackend> remote_state_;
-  uint64_t recovery_gen_ = 0;
+  uint32_t recovery_gen_ = 0;
   Time epoch_inject_time_ = 0;
 
   // Elastic rescaling runtime (engine_elastic.cc). escalers_ is indexed by

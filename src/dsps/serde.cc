@@ -69,8 +69,9 @@ size_t TupleSerde::body_size(const Tuple& t) {
              varint_size(t.values.size());
   for (const auto& v : t.values) {
     n += 1;  // field tag
-    if (const auto* s = std::get_if<std::string>(&v)) {
-      n += varint_size(s->size()) + s->size();
+    if (v.index() == Value::kString) {
+      const size_t len = v.as_string().size();
+      n += varint_size(len) + len;
     } else {
       n += 8;  // i64 / f64
     }

@@ -36,15 +36,19 @@ class TupleSerde {
     w.put_i64(t.root_emit_time);
     w.put_varint(t.values.size());
     for (const auto& v : t.values) {
-      if (const auto* i = std::get_if<int64_t>(&v)) {
-        w.put_u8(kInt);
-        w.put_i64(*i);
-      } else if (const auto* d = std::get_if<double>(&v)) {
-        w.put_u8(kDouble);
-        w.put_f64(*d);
-      } else {
-        w.put_u8(kString);
-        w.put_string(std::get<std::string>(v));
+      switch (v.index()) {
+        case Value::kInt:
+          w.put_u8(kInt);
+          w.put_i64(v.as_int());
+          break;
+        case Value::kDouble:
+          w.put_u8(kDouble);
+          w.put_f64(v.as_double());
+          break;
+        case Value::kString:
+          w.put_u8(kString);
+          w.put_string(v.as_string());
+          break;
       }
     }
   }

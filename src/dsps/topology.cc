@@ -5,22 +5,26 @@
 namespace whale::dsps {
 
 uint64_t value_hash(const Value& v) {
-  if (const auto* i = std::get_if<int64_t>(&v)) {
-    uint64_t z = static_cast<uint64_t>(*i) + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-  if (const auto* d = std::get_if<double>(&v)) {
-    uint64_t bits;
-    static_assert(sizeof(bits) == sizeof(*d));
-    __builtin_memcpy(&bits, d, sizeof(bits));
-    return value_hash(Value{static_cast<int64_t>(bits)});
+  switch (v.index()) {
+    case Value::kInt: {
+      uint64_t z = static_cast<uint64_t>(v.as_int()) + 0x9e3779b97f4a7c15ULL;
+      z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
+      z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
+      return z ^ (z >> 31);
+    }
+    case Value::kDouble: {
+      const double d = v.as_double();
+      uint64_t bits;
+      static_assert(sizeof(bits) == sizeof(d));
+      __builtin_memcpy(&bits, &d, sizeof(bits));
+      return value_hash(Value{static_cast<int64_t>(bits)});
+    }
+    case Value::kString:
+      break;
   }
   // FNV-1a for strings.
-  const auto& s = std::get<std::string>(v);
   uint64_t h = 0xcbf29ce484222325ULL;
-  for (char c : s) {
+  for (char c : v.as_string()) {
     h ^= static_cast<uint8_t>(c);
     h *= 0x100000001b3ULL;
   }

@@ -46,7 +46,7 @@ struct Packet {
   // alignment, barrier flag so loss accounting can skip epoch barriers.
   int32_t src_task = -1;
   bool barrier = false;
-  uint64_t gen = 0;  // dataflow incarnation at send time (recovery fencing)
+  uint32_t gen = 0;  // dataflow incarnation at send time (recovery fencing)
 
   uint64_t size() const { return bytes.size(); }
 };

@@ -16,8 +16,8 @@ dsps::Tuple make_barrier(uint64_t epoch, int src_task) {
 
 bool is_barrier(const dsps::Tuple& t) {
   if (t.root_id != 0 || t.values.size() != 3) return false;
-  const auto* tag = std::get_if<int64_t>(&t.values[0]);
-  return tag != nullptr && *tag == kBarrierMagic;
+  const dsps::Value& tag = t.values[0];
+  return tag.index() == dsps::Value::kInt && tag.as_int() == kBarrierMagic;
 }
 
 uint64_t barrier_epoch(const dsps::Tuple& t) {

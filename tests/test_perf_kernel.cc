@@ -11,6 +11,8 @@
 //  - Idle transport state is free: constructing a QueuePair, an empty
 //    CompletionQueue or an empty sim::Ring allocates no container storage
 //    (a counting operator new in this binary checks it).
+//  - Compact tuples: a shared four-scalar tuple (TupleRef block plus its
+//    value array) requests no block larger than the slab's 64-byte class.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -25,6 +27,7 @@
 #include "core/engine.h"
 #include "core/message.h"
 #include "dsps/serde.h"
+#include "dsps/tuple.h"
 #include "net/fabric.h"
 #include "rdma/verbs.h"
 #include "sim/cpu.h"
@@ -32,15 +35,18 @@
 #include "sim/ring.h"
 #include "sim/simulation.h"
 
-// Every global operator new in this binary bumps the counter; the
-// allocation-guard tests read it around a construction. The standard
-// library's new[] forwards here; nothing tested uses over-aligned types.
+// Every global operator new in this binary bumps the counter and records
+// the largest request; the allocation-guard tests read them around a
+// construction. The standard library's new[] forwards here; nothing
+// tested uses over-aligned types.
 namespace {
 uint64_t g_allocs = 0;
+std::size_t g_max_request = 0;
 }  // namespace
 
 void* operator new(std::size_t n) {
   ++g_allocs;
+  if (n > g_max_request) g_max_request = n;
   if (void* p = std::malloc(n ? n : 1)) return p;
   throw std::bad_alloc();
 }
@@ -338,6 +344,32 @@ TEST(IdleTransport, EmptyRingAllocatesNothingAndClearReleases) {
   r.clear();
   EXPECT_TRUE(r.empty());
   EXPECT_EQ(r.capacity(), 0u);
+}
+
+// --- compact tuples -----------------------------------------------------------
+
+// A four-scalar tuple (the ride-hailing and stock spouts' shape) is one
+// 64-byte TupleRef block plus one 64-byte value array: 4 x 16-byte Value.
+// Under ctest every case runs in a fresh process, so the slab's freelists
+// start empty and each block is a real request; holding 256 handles at
+// once outlasts whatever an earlier case in the same process left pooled.
+TEST(CompactTuple, SharedFourScalarTupleFitsTheSmallestSlabClass) {
+  EXPECT_EQ(sizeof(dsps::Value), 16u);
+  EXPECT_LE(4 * sizeof(dsps::Value), size_t{1} << SlabPool::kMinBlockLog);
+  std::vector<dsps::TupleRef> held;
+  held.reserve(256);
+  g_max_request = 0;
+  allocations_during([&] {
+    for (int i = 0; i < 256; ++i) {
+      dsps::Tuple t;
+      t.values = {dsps::Value{int64_t{1}}, dsps::Value{int64_t{i}},
+                  dsps::Value{52.1}, dsps::Value{13.9}};
+      held.emplace_back(std::move(t));
+    }
+  });
+  const size_t max_request = g_max_request;  // gtest output allocates too
+  EXPECT_LE(max_request, size_t{1} << SlabPool::kMinBlockLog);
+  EXPECT_EQ(held.back()->as_int(1), 255);
 }
 
 }  // namespace
