@@ -4,144 +4,12 @@
 // Paper at parallelism 480: Whale's non-blocking tree cuts average
 // multicast latency by 54.4% vs binomial and 57.8% vs sequential on the
 // Didi workload, and 50.6% / 56.6% on NASDAQ.
-//
-// This binary also hosts the routine 480-instance fig-scale entry for the
-// parallel kernel (DESIGN.md §13): the paper's largest fan-out run serial
-// and on the parallel conservative kernel, wall-clock reported.
-// `--parallel N` runs just the fig-scale configs at `sim.threads = N` and
-// prints one JSON line per config; scripts/run_bench.sh sweeps thread
-// counts with it to produce results/BENCH_parallel.json.
-#include <chrono>
-#include <cstring>
-#include <thread>
-
 #include "bench/bench_util.h"
 
 using namespace whale;
 using namespace whale::bench;
 
-namespace {
-
-struct ParallelPoint {
-  uint64_t events = 0;
-  double wall_ms = 0;
-  bool engaged = false;  // parallel kernel actually ran (vs serial fallback)
-  int num_partitions = 0;  // partitions of the engaged kernel (0 serial)
-  uint64_t fp = 0;         // FNV-1a of RunReport::fingerprint()
-};
-
-// Stable 64-bit digest of the full fingerprint string, so the sweep
-// artifact can pin bit-identical serial<->parallel per config without
-// embedding the whole counter dump in every row.
-uint64_t fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-// One fig-scale run at a given thread count. All configs use
-// parallel-eligible variants (no optimized-RDMA transport, no non-blocking
-// tree switching), so threads >= 2 really exercises the parallel kernel
-// and stays bit-identical to serial.
-ParallelPoint run_fig_scale(const char* config, int threads) {
-  const double s = scale();
-  core::EngineConfig cfg;
-  cfg.cluster.num_nodes = 30;
-  cfg.cluster.cores_per_node = 16;
-  cfg.seed = 42;
-  cfg.sim.threads = threads;
-
-  dsps::Topology topo;
-  if (std::strcmp(config, "fig13-ride") == 0) {
-    // Fig. 13 shape: instance-oriented Storm on the ride-hailing app —
-    // the per-instance serialization bottleneck, heavy CPU per event.
-    cfg.variant = core::SystemVariant::Storm();
-    auto p = ride_params(std::max(4, static_cast<int>(240 * s)), 2000, 1500);
-    topo = apps::build_ride_hailing(p).topology;
-  } else if (std::strcmp(config, "fig-cluster300") == 0) {
-    // ROADMAP's 10x-paper cluster: 300 nodes (one partition each once the
-    // kernel engages), 1M simulated drivers spread over the matching
-    // slices, and 16 driver-spout instances on 16 distinct nodes — the
-    // shape that used to fold every spout node into partition 0 and
-    // serialize the run. Scaled by WHALE_BENCH_SCALE like everything else
-    // so the CI smoke stays cheap while keeping all 300 partitions.
-    cfg.cluster.num_nodes = 300;
-    cfg.variant = core::SystemVariant::WhaleWoc();
-    auto p = ride_params(std::max(16, static_cast<int>(1200 * s)), 2000, 3000);
-    p.driver_spout_parallelism = 16;
-    p.aggregation_parallelism = 64;
-    p.workload.num_drivers =
-        std::max(1000, static_cast<int>(1000000 * s));
-    topo = apps::build_ride_hailing(p).topology;
-  } else if (std::strcmp(config, "fig21-mcast480") == 0) {
-    // Fig. 21 shape at the paper's largest fan-out: 480 matching
-    // instances, worker-oriented batching (WOC) over RDMA send/recv.
-    cfg.variant = core::SystemVariant::WhaleWoc();
-    auto p = ride_params(std::max(4, static_cast<int>(480 * s)), 2000, 1500);
-    topo = apps::build_ride_hailing(p).topology;
-  } else {
-    // A typo'd manifest entry must fail the sweep, not quietly run some
-    // default shape under the wrong label.
-    std::fprintf(stderr, "unknown --parallel config '%s'\n", config);
-    std::exit(2);
-  }
-
-  core::Engine e(cfg, std::move(topo));
-  const auto t0 = std::chrono::steady_clock::now();
-  const auto& r = e.run(warmup_ms(), window_ms());
-  const auto t1 = std::chrono::steady_clock::now();
-
-  ParallelPoint pt;
-  pt.events = r.sim_events;
-  pt.wall_ms =
-      std::chrono::duration<double, std::milli>(t1 - t0).count();
-  pt.engaged = e.parallel();
-  pt.num_partitions = r.parallel.num_partitions;
-  pt.fp = fnv1a(r.fingerprint());
-  return pt;
-}
-
-constexpr const char* kParallelConfigs[] = {"fig13-ride", "fig21-mcast480"};
-
-void print_parallel_point(const char* config, int threads,
-                          const ParallelPoint& pt) {
-  std::printf(
-      "{\"config\": \"%s\", \"threads\": %d, \"engaged\": %s, "
-      "\"num_partitions\": %d, \"fp\": \"%016llx\", "
-      "\"events\": %llu, \"wall_ms\": %.2f, \"events_per_sec\": %.0f}\n",
-      config, threads, pt.engaged ? "true" : "false", pt.num_partitions,
-      static_cast<unsigned long long>(pt.fp),
-      static_cast<unsigned long long>(pt.events), pt.wall_ms,
-      static_cast<double>(pt.events) / (pt.wall_ms / 1e3));
-}
-
-// `--parallel N [config...]`: run the named configs (default: the two
-// classic fig-scale ones) at sim.threads = N, one JSON line per config.
-// The config list comes from the caller — scripts/run_bench.sh reads it
-// from bench/parallel_manifest.json — so a new config cannot silently
-// drop out of the sweep.
-int parallel_mode(int threads, int argc, char** argv) {
-  if (argc > 0) {
-    for (int i = 0; i < argc; ++i) {
-      print_parallel_point(argv[i], threads, run_fig_scale(argv[i], threads));
-    }
-    return 0;
-  }
-  for (const char* config : kParallelConfigs) {
-    print_parallel_point(config, threads, run_fig_scale(config, threads));
-  }
-  return 0;
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
-  if (argc >= 3 && std::strcmp(argv[1], "--parallel") == 0) {
-    return parallel_mode(std::atoi(argv[2]), argc - 3, argv + 3);
-  }
+int main() {
   header("Figs. 21/22 — average multicast latency vs parallelism (d*=3)",
          "non-blocking cuts avg multicast latency ~54%/58% vs "
          "binomial/sequential (ride-hailing), ~51%/57% (stock)");
@@ -173,20 +41,5 @@ int main(int argc, char** argv) {
     }
   }
 
-  // Routine fig-scale serial vs parallel entry (the paper's largest
-  // fan-out, 480 instances): same simulated work at every thread count —
-  // the parallel kernel is bit-identical to serial — so wall-clock is the
-  // only thing that moves.
-  const unsigned hw = std::max(1u, std::thread::hardware_concurrency());
-  std::printf("\n[fig-scale serial vs parallel kernel, host_cores=%u]\n", hw);
-  row({"config", "threads", "engaged", "events", "wall_ms"});
-  for (const char* config : kParallelConfigs) {
-    for (int threads : {1, static_cast<int>(hw)}) {
-      const ParallelPoint pt = run_fig_scale(config, threads);
-      row({config, std::to_string(threads), pt.engaged ? "yes" : "no",
-           std::to_string(pt.events), fmt_ms(pt.wall_ms)});
-      if (hw == 1) break;  // threads {1, hw} collapse to one point
-    }
-  }
   return 0;
 }

@@ -1,10 +1,6 @@
 #!/bin/sh
 # Runs the simulator hot-path benchmark and records the result in
-# BENCH_simkernel.json at the repo root, then sweeps the parallel kernel
-# over the thread counts and configs listed in bench/parallel_manifest.json
-# (the 480-instance fig-scale pair -> results/BENCH_parallel.json, the
-# 300-node cluster config -> results/BENCH_cluster.json), all validated
-# by tools/validate_parallel.py against the same manifest.
+# BENCH_simkernel.json at the repo root.
 #
 # The simkernel bench is run REPS times and the run with the fastest
 # "mixed" phase is kept (best-of-N: the minimum wall time is the
@@ -60,15 +56,3 @@ baseline_rate="$(sed -n 's/.*"mixed".*"events_per_sec": \([0-9]*\).*/\1/p' \
 echo "wrote BENCH_simkernel.json (best mixed: ${best_rate} events/sec," \
      "baseline: ${baseline_rate}, see speedup_mixed)"
 
-# --- parallel kernel sweeps --------------------------------------------------
-# Same simulated work at every thread count (the kernel is bit-identical
-# to serial); host_cores is recorded because wall-clock speedup is only
-# meaningful when the host actually has cores for the partition threads.
-# The sweep loop lives in scripts/run_parallel_sweep.sh (shared with CI);
-# the (artifact, configs, threads) tuples come from
-# bench/parallel_manifest.json — the same file tools/validate_parallel.py
-# validates against — so a new config cannot silently drop out of the
-# sweep or the gate.
-cmake --build build --target bench_fig21_22_multicast_latency -j > /dev/null
-
-scripts/run_parallel_sweep.sh

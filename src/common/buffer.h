@@ -14,12 +14,10 @@
 // by reference (the paper's WOC principle applied to the simulator).
 #pragma once
 
-#include <atomic>
 #include <cassert>
 #include <cstdint>
 #include <cstring>
 #include <memory>
-#include <mutex>
 #include <new>
 #include <span>
 #include <string_view>
@@ -27,15 +25,6 @@
 #include <vector>
 
 namespace whale {
-
-// Multi-threaded buffer mode, flipped on (and left on for the process) by
-// the parallel kernel before it spawns worker threads: buffers allocated
-// on one partition are released on another, and worker-level multicast
-// shares one framed block across partitions. A plain bool read — not an
-// atomic, not a guarded static — so the serial hot path pays one
-// predictable branch: the flip happens-before every worker thread starts,
-// and it is never turned off while threads run.
-inline bool g_buffer_mt = false;
 
 // Block layout: BufHeader | data[cap]. `off`/`len` delimit the view the
 // owning Buffers expose (off > 0 after in-place header prepending).
@@ -74,27 +63,6 @@ class BufferPool {
   }
 
   BufHeader* allocate(size_t capacity) {
-    if (g_buffer_mt) {
-      std::lock_guard<std::mutex> lk(mu_);
-      return allocate_locked(capacity);
-    }
-    return allocate_locked(capacity);
-  }
-
-  void release(BufHeader* h) {
-    if (g_buffer_mt) {
-      std::lock_guard<std::mutex> lk(mu_);
-      release_locked(h);
-      return;
-    }
-    release_locked(h);
-  }
-
-  uint64_t fresh_allocs() const { return fresh_allocs_; }
-  uint64_t reuses() const { return reuses_; }
-
- private:
-  BufHeader* allocate_locked(size_t capacity) {
     BufHeader* h;
     if (capacity > (size_t{1} << kMaxClassLog)) {
       h = raw_alloc(capacity, kExactClass);
@@ -117,7 +85,7 @@ class BufferPool {
     return h;
   }
 
-  void release_locked(BufHeader* h) {
+  void release(BufHeader* h) {
     if (h->cls == kExactClass) {
       ::operator delete(h);
       return;
@@ -125,6 +93,10 @@ class BufferPool {
     free_[static_cast<size_t>(h->cls - kMinClassLog)].push_back(h);
   }
 
+  uint64_t fresh_allocs() const { return fresh_allocs_; }
+  uint64_t reuses() const { return reuses_; }
+
+ private:
   static int class_for(size_t capacity) {
     int cls = kMinClassLog;
     while ((size_t{1} << cls) < capacity) ++cls;
@@ -139,28 +111,9 @@ class BufferPool {
   }
 
   std::vector<BufHeader*> free_[kMaxClassLog - kMinClassLog + 1];
-  std::mutex mu_;  // taken only when g_buffer_mt
   uint64_t fresh_allocs_ = 0;
   uint64_t reuses_ = 0;
 };
-
-// Refcount ops switch to atomics in mt mode: a Buffer copied on one
-// partition can be dropped on another (relayed multicast payloads).
-inline void buffer_ref(BufHeader* h) {
-  if (g_buffer_mt) {
-    std::atomic_ref<uint32_t>(h->refs).fetch_add(1, std::memory_order_relaxed);
-  } else {
-    ++h->refs;
-  }
-}
-
-inline bool buffer_unref(BufHeader* h) {
-  if (g_buffer_mt) {
-    return std::atomic_ref<uint32_t>(h->refs).fetch_sub(
-               1, std::memory_order_acq_rel) == 1;
-  }
-  return --h->refs == 0;
-}
 
 // Read-only view of a Buffer's bytes. Converts to span (for readers) and,
 // as a compat escape hatch, to a fresh vector (copying) for test code that
@@ -211,14 +164,14 @@ class Buffer {
   }
 
   Buffer(const Buffer& other) : h_(other.h_) {
-    if (h_) buffer_ref(h_);
+    if (h_) ++h_->refs;
   }
   Buffer(Buffer&& other) noexcept : h_(other.h_) { other.h_ = nullptr; }
   Buffer& operator=(const Buffer& other) {
     if (this != &other) {
       drop();
       h_ = other.h_;
-      if (h_) buffer_ref(h_);
+      if (h_) ++h_->refs;
     }
     return *this;
   }
@@ -246,7 +199,7 @@ class Buffer {
   friend class PoolWriter;
 
   void drop() {
-    if (h_ && buffer_unref(h_)) BufferPool::instance().release(h_);
+    if (h_ && --h_->refs == 0) BufferPool::instance().release(h_);
     h_ = nullptr;
   }
 

@@ -7,17 +7,12 @@
 //
 // Callers know their block's size statically (sizeof(Fn)), so blocks
 // carry no header: a freed block's first word becomes the freelist link.
-// Like BufferPool, the pool is single-threaded by default and takes a
-// mutex only when g_buffer_mt is set (flipped before the parallel
-// kernel's worker threads spawn, never unset while they run).
+// Like BufferPool, the pool is single-threaded.
 #pragma once
 
 #include <cstddef>
-#include <mutex>
 #include <new>
 #include <vector>
-
-#include "common/buffer.h"
 
 namespace whale {
 
@@ -44,20 +39,19 @@ class SlabPool {
   }
 
   void* allocate(size_t n) {
-    if (g_buffer_mt) {
-      std::lock_guard<std::mutex> lk(mu_);
-      return allocate_locked(n);
+    const size_t cls = class_for(n);
+    if (Node* head = free_[cls]) {
+      free_[cls] = head->next;
+      return head;
     }
-    return allocate_locked(n);
+    return ::operator new(size_t{1} << (kMinBlockLog + cls));
   }
 
   void deallocate(void* p, size_t n) {
-    if (g_buffer_mt) {
-      std::lock_guard<std::mutex> lk(mu_);
-      deallocate_locked(p, n);
-      return;
-    }
-    deallocate_locked(p, n);
+    const size_t cls = class_for(n);
+    Node* node = static_cast<Node*>(p);
+    node->next = free_[cls];
+    free_[cls] = node;
   }
 
  private:
@@ -71,24 +65,7 @@ class SlabPool {
     return cls;
   }
 
-  void* allocate_locked(size_t n) {
-    const size_t cls = class_for(n);
-    if (Node* head = free_[cls]) {
-      free_[cls] = head->next;
-      return head;
-    }
-    return ::operator new(size_t{1} << (kMinBlockLog + cls));
-  }
-
-  void deallocate_locked(void* p, size_t n) {
-    const size_t cls = class_for(n);
-    Node* node = static_cast<Node*>(p);
-    node->next = free_[cls];
-    free_[cls] = node;
-  }
-
   Node* free_[kNumClasses] = {};
-  std::mutex mu_;  // taken only when g_buffer_mt
 };
 
 // Pooled block for a type known at the call site; alignment beyond

@@ -16,25 +16,10 @@
 
 namespace whale::core {
 
-// Parallel conservative DES kernel (src/sim/parallel.h). threads >= 2
-// opts in: the engine partitions the event heap per simulated node and
-// runs partitions on a thread pool, bit-identical to serial (DESIGN.md
-// §13). 0/1 keeps today's single-threaded kernel with no new locks or
-// atomics on the hot path. Configurations the partitioner cannot prove
-// safe (acking, faults, checkpointing, observability, the optimized-RDMA
-// transport) fall back to serial; RunReport.parallel records the decision
-// and names the first disqualifying knob in fallback_reason.
-struct SimConfig {
-  int threads = 0;
-};
-
 struct EngineConfig {
   net::ClusterSpec cluster;
   net::CostModel cost;
   SystemVariant variant = SystemVariant::Whale();
-
-  // Parallel kernel knob; off by default.
-  SimConfig sim;
 
   // Model physical-core contention: all threads of a node (executors +
   // worker send/recv threads) share cores_per_node cores FCFS. Off by

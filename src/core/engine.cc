@@ -1,7 +1,6 @@
 #include "core/engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <span>
 #include <stdexcept>
@@ -30,9 +29,7 @@ constexpr uint64_t kMaxTrackedTuples = 1 << 20;
 template <typename Body>
 void loop_async(Body body_in) {
   // Intrusively refcounted, slab-recycled state: a loop iteration costs
-  // zero allocations once the slab is warm. The refcount switches to
-  // atomic ops in parallel mode (a chain's continuations always run on
-  // one partition, but the guard keeps the invariant local, not global).
+  // zero allocations once the slab is warm.
   struct State {
     uint32_t refs;
     Body body;
@@ -40,25 +37,13 @@ void loop_async(Body body_in) {
   struct Next {
     State* st = nullptr;
     explicit Next(State* adopted) : st(adopted) {}
-    Next(const Next& o) : st(o.st) {
-      if (g_buffer_mt) {
-        std::atomic_ref<uint32_t>(st->refs).fetch_add(
-            1, std::memory_order_relaxed);
-      } else {
-        ++st->refs;
-      }
-    }
+    Next(const Next& o) : st(o.st) { ++st->refs; }
     Next(Next&& o) noexcept : st(o.st) { o.st = nullptr; }
     Next& operator=(const Next&) = delete;
     Next& operator=(Next&&) = delete;
     ~Next() {
       if (!st) return;
-      const bool last =
-          g_buffer_mt
-              ? std::atomic_ref<uint32_t>(st->refs).fetch_sub(
-                    1, std::memory_order_acq_rel) == 1
-              : --st->refs == 0;
-      if (last) {
+      if (--st->refs == 0) {
         st->~State();
         slab_free(st, sizeof(State));
       }
@@ -82,21 +67,7 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
   net::ClusterSpec cluster = cfg_.cluster;
   const bool remote = state::kCompiled && cfg_.state.enabled && cfg_.state.remote;
   if (remote) cluster.num_nodes += 1;
-  // Parallel kernel opt-in: decided before the fabric exists so the NICs
-  // bind to their node's partition. Leaves psim_ null (exact serial path)
-  // unless the configuration is provably safe to partition.
-  setup_parallel();
-  fabric_ = std::make_unique<net::Fabric>(sim_, cluster, psim_.get());
-  if (psim_) {
-    // Conservative lookahead: the minimum cross-partition propagation on
-    // the transport data actually rides (control/data both use it; TCP
-    // variants never touch the IB plane and vice versa).
-    const net::Transport wire =
-        cfg_.variant.transport == TransportMode::kTcp ? net::Transport::kTcp
-                                                      : net::Transport::kRdma;
-    psim_->set_lookahead(
-        fabric_->min_cross_propagation(wire, psim_->node_partition_map()));
-  }
+  fabric_ = std::make_unique<net::Fabric>(sim_, cluster);
   if (remote) {
     remote_state_ = std::make_unique<state::RemoteStateBackend>(
         *fabric_, cfg_.cost, cfg_.state, /*host_node=*/cfg_.cluster.num_nodes);
@@ -137,66 +108,6 @@ Engine::Engine(EngineConfig cfg, dsps::Topology topo)
   obs_setup();
 }
 
-void Engine::setup_parallel() {
-  // Every fallback names the FIRST disqualifying knob in parallel_info_,
-  // so the eligibility matrix is pinned by name, never a silent `return`.
-  auto fallback = [this](const char* reason) {
-    parallel_info_.fallback_reason = reason;
-  };
-  if (cfg_.sim.threads < 2) return fallback("not_requested");
-  // Configurations the partitioner cannot prove safe fall back to the
-  // exact serial path (DESIGN.md §13). Each of these couples partitions
-  // through shared mutable state with order-sensitive semantics (acker
-  // ledger, fault timelines, epoch alignment, obs sampling) or through
-  // zero-lookahead cross-node interactions (one-sided READ rings, tree
-  // switching control traffic).
-  if (cfg_.enable_acking) return fallback("acking");
-  if (cfg_.replay_on_failure) return fallback("replay");
-  if (!cfg_.faults.empty()) return fallback("faults");
-  if (cfg_.elastic.enabled) return fallback("elastic");
-  if (cfg_.state.enabled) return fallback("state");
-  if (cfg_.obs.metrics_enabled || cfg_.obs.tracing_enabled) {
-    return fallback("obs");
-  }
-  if (cfg_.variant.transport == TransportMode::kRdmaOptimized) {
-    return fallback("optimized_rdma");
-  }
-  if (cfg_.variant.mcast == McastMode::kNonblocking) {
-    return fallback("nonblocking_mcast");
-  }
-  // Load-aware strategies read live cross-partition instance loads at
-  // routing time; probe with a throwaway instance per stream.
-  for (const auto& s : topo_.streams) {
-    if (dsps::make_strategy(s)->load_aware()) {
-      return fallback("load_aware_strategy");
-    }
-  }
-
-  // Partition map: one partition per node, spout-hosting nodes included.
-  // Spout arrivals are partition-local because every spout instance owns
-  // its own RNG and its own disjoint root-id stream (build_runtime), so
-  // nothing about source emission couples partitions — the old fold of
-  // all spout nodes into partition 0 (which serialized the run once the
-  // cluster grew past a few dozen nodes) is gone. Partition 0 is anchored
-  // at node 0: setup code and post-run readers execute there.
-  const int n = cfg_.cluster.num_nodes;
-  if (n < 2) return fallback("single_partition");
-  std::vector<int> part(static_cast<size_t>(n));
-  for (int node = 0; node < n; ++node) part[static_cast<size_t>(node)] = node;
-
-  // Buffers will cross partition threads from here on (relayed multicast
-  // payloads, routed deliveries); flip refcounting/pooling to mt mode
-  // before any worker thread exists so the flip happens-before all of
-  // them. Sticky for the process by design.
-  g_buffer_mt = true;
-  const int threads = std::min(cfg_.sim.threads, n);
-  parallel_info_.engaged = true;
-  parallel_info_.num_partitions = n;
-  parallel_info_.threads = threads;
-  psim_ = std::make_unique<sim::ParallelSimulation>(std::move(part), n,
-                                                    threads);
-}
-
 void Engine::obs_setup() {
   if (!obs::kCompiled) return;
   metrics_.configure(cfg_.obs.metrics_enabled, cfg_.obs.snapshot_interval);
@@ -213,7 +124,7 @@ void Engine::obs_setup() {
       gp->tree.set_repair_observer(
           [this, g](const char* op, int node, size_t moves) {
             tracer_.instant(op, "mcast", g->src_worker, obs::kLaneControl,
-                            cur_sim().now(), 0, "moves",
+                            sim_.now(), 0, "moves",
                             static_cast<double>(moves));
             (void)node;
           });
@@ -444,7 +355,7 @@ void Engine::build_runtime() {
   if (cfg_.model_core_contention) {
     for (int n = 0; n < num_workers; ++n) {
       core_pools_.push_back(std::make_unique<sim::CorePool>(
-          node_sim(n), cfg_.cluster.cores_per_node));
+          sim_, cfg_.cluster.cores_per_node));
     }
   }
   auto pool_of = [this](int node) -> sim::CorePool* {
@@ -458,9 +369,9 @@ void Engine::build_runtime() {
     wr->id = w;
     wr->node = w;  // one worker process per node (paper setup)
     wr->send_cpu = std::make_unique<sim::CpuServer>(
-        node_sim(w), "w" + std::to_string(w) + ".send", pool_of(w));
+        sim_, "w" + std::to_string(w) + ".send", pool_of(w));
     wr->recv_cpu = std::make_unique<sim::CpuServer>(
-        node_sim(w), "w" + std::to_string(w) + ".recv", pool_of(w));
+        sim_, "w" + std::to_string(w) + ".recv", pool_of(w));
     wr->transfer_queue = std::make_unique<sim::BoundedQueue<OutMsg>>(
         cfg_.transfer_queue_capacity);
     wr->data_qps.resize(static_cast<size_t>(num_workers));
@@ -482,12 +393,10 @@ void Engine::build_runtime() {
       op_out_index_[op].emplace(outs[i], i);
     }
   }
-  // Per-spout arrival state (DESIGN.md §13): every spout instance draws
-  // from its own RNG (seeded from cfg_.seed and its global spout index)
-  // and allocates root ids from its own disjoint stream — first id
-  // 1 + spout_index, stride = total spout instances. Deterministic
-  // regardless of thread count, and it is what lets spout-hosting nodes
-  // partition like any other node instead of folding into partition 0.
+  // Per-spout arrival state: every spout instance draws from its own RNG
+  // (seeded from cfg_.seed and its global spout index) and allocates root
+  // ids from its own disjoint stream — first id 1 + spout_index, stride =
+  // total spout instances.
   uint64_t total_spouts = 0;
   for (const auto& spec : topo_.ops) {
     if (spec.is_spout) total_spouts += static_cast<uint64_t>(spec.parallelism);
@@ -504,7 +413,7 @@ void Engine::build_runtime() {
       t->worker = i % num_workers;  // Storm-style round-robin placement
       t->node = workers_[static_cast<size_t>(t->worker)]->node;
       t->cpu = std::make_unique<sim::CpuServer>(
-          node_sim(t->node), spec.name + "[" + std::to_string(i) + "]",
+          sim_, spec.name + "[" + std::to_string(i) + "]",
           pool_of(t->node));
       t->in_queue = std::make_unique<sim::BoundedQueue<Delivery>>(
           cfg_.executor_queue_capacity);
@@ -754,7 +663,6 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
   window_start_ = warmup;
   window_end_ = warmup + measure;
   report_ = RunReport{};
-  report_.parallel = parallel_info_;  // decided once, at construction
   report_.variant = cfg_.variant.name();
   report_.warmup = warmup;
   report_.window = measure;
@@ -771,13 +679,13 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
       if (rit != replays_.end()) replays_.erase(rit);
       if (in_window()) {
         ++report_.acked_roots;
-        report_.ack_latency.add(cur_sim().now() - emit);
+        report_.ack_latency.add(sim_.now() - emit);
         if (was_replayed) ++report_.replay_completions;
       }
       if (trace_on() && tracer_.sampled(root)) {
         tracer_.instant("ack.complete", "app",
                         primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                        obs::kLaneControl, cur_sim().now(), root);
+                        obs::kLaneControl, sim_.now(), root);
       }
     });
     acker_.set_on_fail([this](uint64_t root) {
@@ -790,9 +698,9 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
     const Duration period = std::min<Duration>(
         sec(1), std::max<Duration>(ms(10), cfg_.ack_timeout / 4));
     loop_async([this, period](auto next) {
-      cur_sim().schedule_after(period, [this, next] {
-        acker_.expire_older_than(cur_sim().now() - cfg_.ack_timeout);
-        if (cur_sim().now() < window_end_) next();
+      sim_.schedule_after(period, [this, next] {
+        acker_.expire_older_than(sim_.now() - cfg_.ack_timeout);
+        if (sim_.now() < window_end_) next();
       });
     });
   }
@@ -802,17 +710,17 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
   }
   arm_faults();
   start_monitoring();
-  cur_sim().schedule_at(window_start_, [this] { snapshot_at_window_start(); });
+  sim_.schedule_at(window_start_, [this] { snapshot_at_window_start(); });
 
   // Metrics snapshots on the simulated-time cadence. Gated on the registry
   // being enabled: a disabled registry schedules ZERO events here, which is
   // what keeps the workload fingerprints (events= included) bit-identical.
   if (metrics_on()) {
-    metrics_.snapshot(cur_sim().now());
+    metrics_.snapshot(sim_.now());
     loop_async([this](auto next) {
-      cur_sim().schedule_after(metrics_.snapshot_interval(), [this, next] {
-        metrics_.snapshot(cur_sim().now());
-        if (cur_sim().now() < window_end_) next();
+      sim_.schedule_after(metrics_.snapshot_interval(), [this, next] {
+        metrics_.snapshot(sim_.now());
+        if (sim_.now() < window_end_) next();
       });
     });
   }
@@ -836,9 +744,9 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
       }
     }
     loop_async([this](auto next) {
-      cur_sim().schedule_after(cfg_.state.checkpoint_interval, [this, next] {
+      sim_.schedule_after(cfg_.state.checkpoint_interval, [this, next] {
         checkpoint_tick();
-        if (cur_sim().now() < window_end_) next();
+        if (sim_.now() < window_end_) next();
       });
     });
   }
@@ -847,23 +755,14 @@ const RunReport& Engine::run(Duration warmup, Duration measure) {
   // with elasticity off no controllers exist and no events are scheduled.
   if (elastic_on()) {
     loop_async([this](auto next) {
-      cur_sim().schedule_after(cfg_.elastic.poll_interval, [this, next] {
+      sim_.schedule_after(cfg_.elastic.poll_interval, [this, next] {
         elastic_tick();
-        if (cur_sim().now() < window_end_) next();
+        if (sim_.now() < window_end_) next();
       });
     });
   }
 
-  if (psim_) {
-    // Stop the world at the window start so the snapshot callback (and any
-    // exact-boundary event) executes with every partition quiesced, then
-    // run the measurement window. Both calls are the same two-phase
-    // windowed protocol; the intermediate barrier costs one extra round.
-    psim_->run_until(window_start_);
-    psim_->run_until(window_end_);
-  } else {
-    sim_.run_until(window_end_);
-  }
+  sim_.run_until(window_end_);
   finalize_report(measure);
   obs_finalize();
   return report_;
@@ -888,22 +787,16 @@ void Engine::start_monitoring() {
   // controllers (cfg_.controller.sample_interval).
   if (primary_src_task_ >= 0 || !tasks_.empty()) {
     const int src = primary_src_task_ >= 0 ? primary_src_task_ : 0;
-    // The sampler reads the source task's in-queue, so on parallel runs it
-    // must live on that task's partition; the report fields it bumps are
-    // shared, hence the guard.
-    sim::Simulation* src_sim =
-        &node_sim(tasks_[static_cast<size_t>(src)]->node);
-    loop_async([this, src, src_sim](auto next) {
-      src_sim->schedule_after(ms(1), [this, src, next] {
+    loop_async([this, src](auto next) {
+      sim_.schedule_after(ms(1), [this, src, next] {
         if (in_window()) {
           const auto& q = *tasks_[static_cast<size_t>(src)]->in_queue;
-          auto lk = shared_guard();
           queue_len_accum_ += static_cast<double>(q.size());
           ++queue_samples_;
           report_.transfer_queue_max =
               std::max(report_.transfer_queue_max, q.size());
         }
-        if (cur_sim().now() < window_end_) next();
+        if (sim_.now() < window_end_) next();
       });
     });
   }
@@ -912,9 +805,9 @@ void Engine::start_monitoring() {
     if (!gp->controller) continue;
     McastGroup* g = gp.get();
     loop_async([this, g](auto next) {
-      cur_sim().schedule_after(cfg_.controller.sample_interval, [this, g, next] {
+      sim_.schedule_after(cfg_.controller.sample_interval, [this, g, next] {
         controller_sample(*g);
-        if (cur_sim().now() < window_end_) next();
+        if (sim_.now() < window_end_) next();
       });
     });
   }
@@ -1052,7 +945,7 @@ void Engine::finalize_report(Duration measure) {
       if (qp) report_.tuples_lost += qp->packets_lost();
     }
     // Nodes still down at the end of the run contribute their residual.
-    if (wp->down) report_.downtime_total += cur_sim().now() - wp->down_since;
+    if (wp->down) report_.downtime_total += sim_.now() - wp->down_since;
   }
 
   // Per-stream routing rows: active strategy + window load spread over
@@ -1082,8 +975,7 @@ void Engine::finalize_report(Duration measure) {
     report_.stream_routing.push_back(std::move(sr));
   }
 
-  report_.sim_events =
-      psim_ ? psim_->events_processed() : sim_.events_processed();
+  report_.sim_events = sim_.events_processed();
 }
 
 // ---------------------------------------------------------------------------
@@ -1093,43 +985,37 @@ void Engine::finalize_report(Duration measure) {
 void Engine::schedule_arrival(int task) {
   auto& t = *tasks_[static_cast<size_t>(task)];
   const auto& op = topo_.ops[static_cast<size_t>(t.op)];
-  // Schedule against the spout's own partition: the initial call runs on
-  // the coordinator thread, and the arrival chain must live where the
-  // spout's node lives. All later hops re-enter from that partition's
-  // thread, where node_sim(t.node) == cur_sim().
-  sim::Simulation& s = node_sim(t.node);
   const double rate =
-      op.rate.rate_at(s.now()) / static_cast<double>(op.parallelism);
+      op.rate.rate_at(sim_.now()) / static_cast<double>(op.parallelism);
   if (rate <= 0.0) {
     // Idle spout: poll again soon in case a rate step begins.
-    s.schedule_after(ms(10), [this, task] { schedule_arrival(task); });
+    sim_.schedule_after(ms(10), [this, task] { schedule_arrival(task); });
     return;
   }
   const Duration gap = from_seconds(t.spout_rng.exponential(rate));
-  s.schedule_after(gap, [this, task] {
+  sim_.schedule_after(gap, [this, task] {
     auto& tk = *tasks_[static_cast<size_t>(task)];
     if (workers_[static_cast<size_t>(tk.worker)]->down) {
       // Crashed worker emits nothing; keep polling so the spout resumes
       // after a restart.
-      if (cur_sim().now() < window_end_) schedule_arrival(task);
+      if (sim_.now() < window_end_) schedule_arrival(task);
       return;
     }
     dsps::Tuple next = tk.spout->next(tk.spout_rng);
     next.root_id = tk.next_root;
     tk.next_root += tk.root_stride;
-    next.root_emit_time = cur_sim().now();
+    next.root_emit_time = sim_.now();
     const dsps::TupleRef tuple(std::move(next));
     if (in_window()) {
-      auto lk = shared_guard();
       ++report_.roots_emitted;
     }
     if (c_roots_) c_roots_->inc();
     if (trace_on() && tracer_.sampled(tuple->root_id)) {
       tracer_.instant("spout.emit", "app", tk.worker, obs::kLaneApp,
-                      cur_sim().now(), tuple->root_id);
+                      sim_.now(), tuple->root_id);
     }
     if (cfg_.enable_acking) {
-      acker_.root_emitted(tuple->root_id, cur_sim().now());
+      acker_.root_emitted(tuple->root_id, sim_.now());
       // Checkpoint recovery replaces the acker's timeout replay for this
       // run: rewind comes from the epoch log, not the replay buffer.
       const bool ckpt_replay = state_on() && cfg_.state.recover_from_checkpoint;
@@ -1142,7 +1028,6 @@ void Engine::schedule_arrival(int task) {
     arrival.gen = recovery_gen_;
     if (!tk.in_queue->try_push(std::move(arrival))) {
       if (in_window()) {
-        auto lk = shared_guard();
         ++report_.input_drops;
       }
       if (c_input_drops_) c_input_drops_->inc();
@@ -1151,10 +1036,10 @@ void Engine::schedule_arrival(int task) {
     // Stream-rate monitoring for the self-adjusting controller.
     for (auto& g : groups_) {
       if (g->src_task == task && g->stream_monitor) {
-        g->stream_monitor->record_arrival(cur_sim().now());
+        g->stream_monitor->record_arrival(sim_.now());
       }
     }
-    if (cur_sim().now() < window_end_) schedule_arrival(task);
+    if (sim_.now() < window_end_) schedule_arrival(task);
   });
 }
 
@@ -1255,10 +1140,9 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
   if (!t.spout &&
       topo_.streams[tuple->stream].grouping == dsps::Grouping::kAll) {
     if (in_window()) {
-      auto lk = shared_guard();
       ++mcast_processed_per_stream_[tuple->stream];
       report_.tput_series.add(
-          cur_sim().now(),
+          sim_.now(),
           1.0 / stream_dst_count_[tuple->stream]);
     }
   }
@@ -1285,16 +1169,15 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
     if (op.out_streams.empty()) {
       // Sink operator: completion of this tuple's processing.
       if (in_window()) {
-        auto lk = shared_guard();
         ++report_.sink_completions;
-        const Duration lat = cur_sim().now() - tuple->root_emit_time;
+        const Duration lat = sim_.now() - tuple->root_emit_time;
         report_.processing_latency.add(lat);
-        report_.lat_sum_series.add(cur_sim().now(), static_cast<double>(lat));
-        report_.lat_cnt_series.add(cur_sim().now(), 1.0);
+        report_.lat_sum_series.add(sim_.now(), static_cast<double>(lat));
+        report_.lat_cnt_series.add(sim_.now(), 1.0);
       }
       if (c_sink_) c_sink_->inc();
       if (h_sink_latency_) {
-        h_sink_latency_->add(cur_sim().now() - tuple->root_emit_time);
+        h_sink_latency_->add(sim_.now() - tuple->root_emit_time);
       }
       // Exactly-once bookkeeping: pending until this sink's next barrier
       // seals the epoch; committed with the epoch's snapshot.
@@ -1317,7 +1200,7 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
        emissions = std::move(emissions)]() mutable {
         if (trace_on() && tracer_.sampled(root)) {
           tracer_.complete(span_name, "app", traw->worker, obs::kLaneApp,
-                           cur_sim().now() - cost, cost, root);
+                           sim_.now() - cost, cost, root);
         }
         route_emissions(
             *traw, std::move(emissions),
@@ -1435,7 +1318,6 @@ void Engine::deliver_local(TaskRt& dst, const dsps::TupleRef& tup,
       return;
     }
     if (in_window()) {
-      auto lk = shared_guard();
       ++report_.queue_rejects;
     }
     if (c_queue_rejects_) c_queue_rejects_->inc();
@@ -1503,11 +1385,10 @@ void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
         traw->id == primary_src_task_ && tup->root_id != 0 &&
         (tup->root_id % cfg_.tuple_sample_stride) == 0 && in_window();
     if (tracked) {
-      auto lk = shared_guard();
       tracked = comm_tracks_.size() < kMaxTrackedTuples;
       if (tracked) {
         comm_tracks_[tup->root_id] =
-            CommTrack{cur_sim().now(), cur_sim().now(), 0.0,
+            CommTrack{sim_.now(), 0.0,
                       static_cast<uint32_t>(remote.size()), true};
       }
     }
@@ -1534,7 +1415,6 @@ void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
         Bytes bytes = frame(MsgKind::kInstanceData, 0, std::move(pw));
         const Duration ser = cfg_.cost.ser_time(bytes->size());
         if (track_root) {
-          auto lk = shared_guard();
           auto it = comm_tracks_.find(track_root);
           if (it != comm_tracks_.end()) {
             it->second.ser_ns += static_cast<double>(ser);
@@ -1546,7 +1426,7 @@ void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
              bar, root = tup->root_id, &w] {
               if (trace_on() && tracer_.sampled(root)) {
                 tracer_.complete("serialize", "app", traw->worker,
-                                 obs::kLaneApp, cur_sim().now() - ser, ser, root);
+                                 obs::kLaneApp, sim_.now() - ser, ser, root);
               }
               const auto [send_cost, send_cat] = source_send_cost(
                   bytes->size());
@@ -1557,7 +1437,7 @@ void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
                     OutMsg m;
                     m.bytes = std::move(bytes);
                     m.dst_worker = tasks_[static_cast<size_t>(d)]->worker;
-                    m.enqueued = cur_sim().now();
+                    m.enqueued = sim_.now();
                     m.root_id = track_root;
                     m.src_task = traw->id;
                     m.barrier = bar;
@@ -1605,7 +1485,6 @@ void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
     const Duration first_ser =
         cfg_.cost.ser_time(dsps::TupleSerde::body_size(*tup));
     if (track_root) {
-      auto lk = shared_guard();
       auto it = comm_tracks_.find(track_root);
       if (it != comm_tracks_.end()) {
         it->second.ser_ns = static_cast<double>(first_ser);
@@ -1632,7 +1511,7 @@ void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
           [this, traw, &tgt, next, track_root, bar, d, root, &w] {
             if (trace_on() && tracer_.sampled(root)) {
               tracer_.complete("serialize", "app", traw->worker,
-                               obs::kLaneApp, cur_sim().now() - d, d, root);
+                               obs::kLaneApp, sim_.now() - d, d, root);
             }
             const auto [send_cost, send_cat] =
                 source_send_cost(tgt.bytes->size());
@@ -1641,7 +1520,7 @@ void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
                                  OutMsg m;
                                  m.bytes = tgt.bytes;
                                  m.dst_worker = tgt.worker;
-                                 m.enqueued = cur_sim().now();
+                                 m.enqueued = sim_.now();
                                  m.root_id = track_root;
                                  m.src_task = traw->id;
                                  m.barrier = bar;
@@ -1699,10 +1578,9 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g, const dsps::TupleRef& tup,
                       static_cast<uint32_t>(g.total_dst_instances));
   }
   if (tracked && in_window()) {
-    auto lk = shared_guard();
     if (comm_tracks_.size() < kMaxTrackedTuples) {
-      comm_tracks_[root] = CommTrack{cur_sim().now(), cur_sim().now(),
-                                     static_cast<double>(ser), 0, false};
+      comm_tracks_[root] =
+          CommTrack{sim_.now(), static_cast<double>(ser), 0, false};
     }
   }
 
@@ -1738,7 +1616,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g, const dsps::TupleRef& tup,
                                                          &w]() mutable {
     if (trace_on() && tracer_.sampled(root)) {
       tracer_.complete("serialize", "app", traw->worker, obs::kLaneApp,
-                       cur_sim().now() - ser, ser, root);
+                       sim_.now() - ser, ser, root);
     }
     // Local dispatch to destination instances hosted with the source.
     const auto& locals =
@@ -1753,15 +1631,11 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g, const dsps::TupleRef& tup,
     // Snapshot the child list (the tree may be reconfigured mid-flight);
     // the single copy lands directly in the loop state below.
     std::vector<int> children = graw->tree.children(0);
-    {
-      auto lk = shared_guard();
-      auto ct = comm_tracks_.find(root);
-      if (ct != comm_tracks_.end()) {
-        if (children.empty()) {
-          comm_tracks_.erase(ct);  // purely local delivery: no communication
-        } else {
-          ct->second.outstanding = static_cast<uint32_t>(children.size());
-        }
+    if (auto ct = comm_tracks_.find(root); ct != comm_tracks_.end()) {
+      if (children.empty()) {
+        comm_tracks_.erase(ct);  // purely local delivery: no communication
+      } else {
+        ct->second.outstanding = static_cast<uint32_t>(children.size());
       }
     }
     loop_async([this, traw, graw, root, tracked, bar, framed, body, body_len,
@@ -1789,7 +1663,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g, const dsps::TupleRef& tup,
             m.dst_worker = graw->worker_level
                                ? ep
                                : tasks_[static_cast<size_t>(ep)]->worker;
-            m.enqueued = cur_sim().now();
+            m.enqueued = sim_.now();
             m.root_id = tracked ? root : 0;
             m.src_task = traw->id;
             m.barrier = bar;
@@ -2022,7 +1896,7 @@ void Engine::dispatch_instance(WorkerRt& w, rdma::Packet pkt) {
         const dsps::TupleRef tup(std::move(m.tuple));
         if (trace_on() && tracer_.sampled(tup->root_id)) {
           tracer_.complete("dispatch", "recv", wr->id, obs::kLaneRecv,
-                           cur_sim().now() - cost, cost, tup->root_id);
+                           sim_.now() - cost, cost, tup->root_id);
         }
         deliver_local(*tasks_[static_cast<size_t>(m.dst_task)], tup,
                       pkt.src_task, pkt.gen);
@@ -2046,7 +1920,7 @@ void Engine::dispatch_batch(WorkerRt& w, rdma::Packet pkt) {
                         const dsps::TupleRef tup(std::move(m.tuple));
                         if (trace_on() && tracer_.sampled(tup->root_id)) {
                           tracer_.complete("dispatch", "recv", wr->id,
-                                           obs::kLaneRecv, cur_sim().now() - cost,
+                                           obs::kLaneRecv, sim_.now() - cost,
                                            cost, tup->root_id);
                         }
                         for (int32_t d : m.dst_tasks) {
@@ -2081,7 +1955,7 @@ void Engine::dispatch_mcast(WorkerRt& w, rdma::Packet pkt,
         const dsps::TupleRef tup(dsps::TupleSerde::decode_body(r));
         if (trace_on() && tracer_.sampled(tup->root_id)) {
           tracer_.complete("dispatch", "recv", wr->id, obs::kLaneRecv,
-                           cur_sim().now() - deser, deser, tup->root_id);
+                           sim_.now() - deser, deser, tup->root_id);
         }
         if (graw->worker_level) {
           const auto& locals =
@@ -2118,7 +1992,7 @@ void Engine::relay_mcast(WorkerRt& w, McastGroup& g, int my_endpoint,
     const int ep = g.endpoints[static_cast<size_t>(child_ep)];
     m.dst_worker =
         g.worker_level ? ep : tasks_[static_cast<size_t>(ep)]->worker;
-    m.enqueued = cur_sim().now();
+    m.enqueued = sim_.now();
     m.relay = true;
     m.src_task = pkt.src_task;
     m.barrier = pkt.barrier;
@@ -2138,7 +2012,7 @@ void Engine::relay_mcast(WorkerRt& w, McastGroup& g, int my_endpoint,
       w.recv_cpu->execute(fwd, sim::CpuCategory::kDispatch,
                           [this, wr, fwd, root] {
                             tracer_.complete("relay.forward", "recv", wr->id,
-                                             obs::kLaneRecv, cur_sim().now() - fwd,
+                                             obs::kLaneRecv, sim_.now() - fwd,
                                              fwd, root);
                           });
     } else {
@@ -2154,26 +2028,20 @@ void Engine::relay_mcast(WorkerRt& w, McastGroup& g, int my_endpoint,
 // ---------------------------------------------------------------------------
 
 void Engine::mcast_track_start(uint64_t root_id, Time emit, uint32_t total) {
-  auto lk = shared_guard();
   if (mcast_tracks_.size() >= kMaxTrackedTuples) return;
-  mcast_tracks_[root_id] = McastTrack{emit, 0, total};
+  mcast_tracks_[root_id] = McastTrack{emit, total};
 }
 
 void Engine::mcast_track_received(uint64_t root_id) {
   // Only sampled roots are ever started (see mcast_track_start's callers):
-  // every other delivery skips the lock and the lookup.
+  // every other delivery skips the lookup.
   if (root_id == 0 || root_id % cfg_.tuple_sample_stride != 0) return;
-  auto lk = shared_guard();
   auto it = mcast_tracks_.find(root_id);
   if (it == mcast_tracks_.end()) return;
-  // Receptions on different partitions can report out of simulated-time
-  // order; the completion time is the max over all of them, which is
-  // exactly the serial "clock at the last reception".
-  it->second.max_recv = std::max(it->second.max_recv, cur_sim().now());
   if (--it->second.remaining_recv == 0) {
     // Every destination instance has received the tuple (Sec. 5.1's
     // multicast-latency definition).
-    const Time done = it->second.max_recv;
+    const Time done = sim_.now();
     if (done >= window_start_ && done < window_end_) {
       report_.multicast_latency.add(done - it->second.emit);
     }
@@ -2182,17 +2050,14 @@ void Engine::mcast_track_received(uint64_t root_id) {
 }
 
 void Engine::comm_track_delivery(uint64_t root_id) {
-  auto lk = shared_guard();
   auto it = comm_tracks_.find(root_id);
   if (it == comm_tracks_.end()) return;
   auto& ct = it->second;
-  // Same max-completion rule as mcast_track_received: deliveries arrive
-  // from several partitions in arbitrary call order.
-  ct.last = std::max(ct.last, cur_sim().now());
   if (ct.outstanding > 0) --ct.outstanding;
   if (ct.outstanding == 0) {
-    if (ct.last >= window_start_ && ct.last < window_end_) {
-      const Duration comm = ct.last - ct.start;
+    const Time last = sim_.now();
+    if (last >= window_start_ && last < window_end_) {
+      const Duration comm = last - ct.start;
       report_.comm_time.add(comm);
       // Streaming means for the serialization share.
       const double ratio =
@@ -2216,7 +2081,7 @@ void Engine::controller_sample(McastGroup& g) {
   if (g.barrier_pending > 0) return;
   if (workers_[static_cast<size_t>(g.src_worker)]->down) return;
   auto& src = *tasks_[static_cast<size_t>(g.src_task)];
-  const double lambda = g.stream_monitor->rate_tps(cur_sim().now());
+  const double lambda = g.stream_monitor->rate_tps(sim_.now());
   const Duration td = g.td_monitor.has_estimate()
                           ? g.td_monitor.estimate()
                           : cfg_.mcast_schedule_per_child;
@@ -2257,7 +2122,7 @@ void Engine::begin_switch(McastGroup& g,
   }
 
   g.switching = true;
-  g.switch_start = cur_sim().now();
+  g.switch_start = sim_.now();
   g.acks_needed = moves.size();
   g.acks_got = 0;
 
@@ -2291,7 +2156,7 @@ void Engine::send_reconfigure(McastGroup& g, int dst_worker) {
   hw.put_u8(kReconfigure);
   auto v = hw.take();
   v.resize(std::max<size_t>(v.size(), cfg_.control_message_bytes), 0);
-  rdma::Packet pkt{make_bytes(std::move(v)), cur_sim().now(), 0};
+  rdma::Packet pkt{make_bytes(std::move(v)), sim_.now(), 0};
   if (cfg_.variant.rdma()) {
     ctrl_qp(g.src_worker, dst_worker).transmit(rdma::Bundle{std::move(pkt)});
   } else {
@@ -2314,7 +2179,7 @@ void Engine::send_control(int src_worker, int dst_worker, uint32_t group,
   hw.put_u8(kStatus);
   auto v = hw.take();
   v.resize(std::max<size_t>(v.size(), cfg_.control_message_bytes), 0);
-  rdma::Packet pkt{make_bytes(std::move(v)), cur_sim().now(), 0};
+  rdma::Packet pkt{make_bytes(std::move(v)), sim_.now(), 0};
   if (src_worker == dst_worker) return;  // nothing to announce locally
   if (cfg_.variant.rdma()) {
     ctrl_qp(src_worker, dst_worker).transmit(rdma::Bundle{std::move(pkt)});
@@ -2340,13 +2205,13 @@ void Engine::handle_control(WorkerRt& w, rdma::Packet pkt) {
   // The endpoint tears down the old connection and establishes the new one
   // (QP creation + handshake), then ACKs to the source.
   WorkerRt* wr = &w;
-  cur_sim().schedule_after(cfg_.switch_connection_setup, [this, wr, group] {
+  sim_.schedule_after(cfg_.switch_connection_setup, [this, wr, group] {
     if (wr->down) return;  // crashed while establishing the connection
     auto& gg = *groups_[group];
     ByteWriter hw(8);
     hw.put_u8(static_cast<uint8_t>(MsgKind::kAck));
     hw.put_varint(group);
-    rdma::Packet ack{make_bytes(hw.take()), cur_sim().now(), 0};
+    rdma::Packet ack{make_bytes(hw.take()), sim_.now(), 0};
     if (cfg_.variant.rdma()) {
       ctrl_qp(wr->id, gg.src_worker).transmit(rdma::Bundle{std::move(ack)});
     } else {
@@ -2444,7 +2309,7 @@ void Engine::on_node_crash(int node) {
   if (w.down) return;
   ++report_.node_crashes;
   w.down = true;
-  w.down_since = cur_sim().now();
+  w.down_since = sim_.now();
   w.sending = false;
   w.pump_waiting = false;
   w.stalled = false;
@@ -2524,7 +2389,7 @@ void Engine::on_node_restart(int node) {
   auto& w = *workers_[static_cast<size_t>(node)];
   if (!w.down) return;
   ++report_.node_restarts;
-  report_.downtime_total += cur_sim().now() - w.down_since;
+  report_.downtime_total += sim_.now() - w.down_since;
   w.down = false;
   w.paused = false;  // any pause it owed died with the old process
   fabric_->set_node_up(node, true);
@@ -2557,7 +2422,7 @@ void Engine::on_node_restart(int node) {
       // restarted node's receive CPU posts it, the host CPU stays idle.
       if (trace_on()) {
         tracer_.instant("state.restore.read", "fault", node,
-                        obs::kLaneControl, cur_sim().now(), 0, "bytes",
+                        obs::kLaneControl, sim_.now(), 0, "bytes",
                         static_cast<double>(
                             remote_state_->committed_bytes_total()));
       }
@@ -2570,11 +2435,11 @@ void Engine::on_node_restart(int node) {
           cfg_.state.store_read_latency);
       if (trace_on()) {
         tracer_.complete("state.restore", "fault", node, obs::kLaneControl,
-                         cur_sim().now(), restore, 0, "bytes",
+                         sim_.now(), restore, 0, "bytes",
                          static_cast<double>(
                              checkpoints_.committed_bytes_total()));
       }
-      cur_sim().schedule_after(restore, [this, gen] {
+      sim_.schedule_after(restore, [this, gen] {
         if (gen == recovery_gen_) do_recover();
       });
     }
@@ -2626,7 +2491,7 @@ void Engine::maybe_start_repair(McastGroup& g) {
   const auto moves = g.tree.repair(dead_ep, repair_dstar(g));
   ++report_.tree_repairs;
   report_.repair_moves += moves.size();
-  g.repair_start = cur_sim().now();
+  g.repair_start = sim_.now();
   g.repair_acks_needed = 0;
   g.repair_acks_got = 0;
   g.repair_pending_workers.clear();
@@ -2651,7 +2516,7 @@ void Engine::maybe_start_repair(McastGroup& g) {
 
 void Engine::finish_repair(McastGroup& g) {
   g.repairing = false;
-  const Duration took = cur_sim().now() - g.repair_start;
+  const Duration took = sim_.now() - g.repair_start;
   report_.repair_time_total += took;
   report_.repair_time_max = std::max(report_.repair_time_max, took);
   if (trace_on()) {
@@ -2678,8 +2543,8 @@ void Engine::maybe_replay(uint64_t root) {
   auto& tk = *tasks_[static_cast<size_t>(task)];
   if (workers_[static_cast<size_t>(tk.worker)]->down) {
     // The spout's own worker is down; try again once it may be back.
-    if (cur_sim().now() < window_end_) {
-      cur_sim().schedule_after(ms(50), [this, root] { maybe_replay(root); });
+    if (sim_.now() < window_end_) {
+      sim_.schedule_after(ms(50), [this, root] { maybe_replay(root); });
     }
     return;
   }
@@ -2691,16 +2556,16 @@ void Engine::maybe_replay(uint64_t root) {
   ++it->second.attempts;
   dsps::Tuple tuple = it->second.tuple;
   tuple.root_id = root;
-  tuple.root_emit_time = cur_sim().now();
+  tuple.root_emit_time = sim_.now();
   ++report_.replayed_roots;
   // Each replay is a fresh emission instance for conservation purposes:
   // the earlier instance was already written off as lost/dropped.
   if (c_roots_) c_roots_->inc();
   if (trace_on() && tracer_.sampled(root)) {
-    tracer_.instant("replay", "app", tk.worker, obs::kLaneApp, cur_sim().now(),
+    tracer_.instant("replay", "app", tk.worker, obs::kLaneApp, sim_.now(),
                     root);
   }
-  acker_.root_emitted(root, cur_sim().now());
+  acker_.root_emitted(root, sim_.now());
   Delivery rep{dsps::TupleRef(std::move(tuple)), 0};
   rep.gen = recovery_gen_;
   if (!tk.in_queue->try_push(std::move(rep))) {
@@ -2716,13 +2581,13 @@ void Engine::finish_switch(McastGroup& g) {
   g.pending_tree.reset();
   g.controller->confirm(g.pending_dstar);
   g.switching = false;
-  const Duration took = cur_sim().now() - g.switch_start;
+  const Duration took = sim_.now() - g.switch_start;
   if (trace_on()) {
     tracer_.complete("mcast.switch", "mcast", g.src_worker, obs::kLaneControl,
                      g.switch_start, took, 0, "dstar",
                      static_cast<double>(g.pending_dstar));
   }
-  if (in_window() || cur_sim().now() >= window_start_) {
+  if (in_window() || sim_.now() >= window_start_) {
     ++report_.switches_completed;
     report_.switch_time_total += took;
     report_.switch_time_max = std::max(report_.switch_time_max, took);
@@ -2753,17 +2618,17 @@ void Engine::checkpoint_tick() {
 }
 
 void Engine::inject_epoch() {
-  const uint64_t epoch = checkpoints_.begin_epoch(cur_sim().now());
-  epoch_inject_time_ = cur_sim().now();
+  const uint64_t epoch = checkpoints_.begin_epoch(sim_.now());
+  epoch_inject_time_ = sim_.now();
   // An adopted rescale plan rides the next epoch: its barriers quiesce the
   // affected operators at alignment, and the commit runs the migration.
   if (elastic_on() && pending_plan_ && rescale_epoch_ == 0) {
     rescale_epoch_ = epoch;
-    rescale_start_ = cur_sim().now();
+    rescale_start_ = sim_.now();
     if (trace_on()) {
       tracer_.instant("rescale.begin", "elastic",
                       primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                      obs::kLaneControl, cur_sim().now(),
+                      obs::kLaneControl, sim_.now(),
                       static_cast<uint64_t>(pending_plan_->op));
     }
   }
@@ -2787,7 +2652,7 @@ void Engine::inject_epoch() {
   if (trace_on()) {
     tracer_.instant("barrier.inject", "state",
                     primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                    obs::kLaneControl, cur_sim().now(), epoch);
+                    obs::kLaneControl, sim_.now(), epoch);
   }
   if (!ok) abort_epoch();  // no spouts: nothing can ever align
 }
@@ -2795,7 +2660,7 @@ void Engine::inject_epoch() {
 void Engine::schedule_epoch_abort(uint64_t epoch) {
   // Deferred: barrier losses surface deep inside delivery callbacks where
   // aborting (which re-pumps executors) could re-enter the caller.
-  cur_sim().schedule_after(0, [this, epoch] {
+  sim_.schedule_after(0, [this, epoch] {
     if (checkpoints_.in_flight() && checkpoints_.current_epoch() == epoch) {
       abort_epoch();
     }
@@ -2810,7 +2675,7 @@ void Engine::abort_epoch() {
   if (trace_on()) {
     tracer_.instant("epoch.abort", "state",
                     primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                    obs::kLaneControl, cur_sim().now(), epoch);
+                    obs::kLaneControl, sim_.now(), epoch);
   }
   // Lift the tree fences and release every aligning executor.
   for (auto& gp : groups_) {
@@ -2831,7 +2696,7 @@ void Engine::abort_epoch() {
   for (auto& tp : tasks_) {
     auto& t = *tp;
     if (t.aligning) {
-      checkpoints_.stats().align_stall_total += cur_sim().now() - t.align_start;
+      checkpoints_.stats().align_stall_total += sim_.now() - t.align_start;
       t.aligning = false;
       t.barriers_from.clear();
     }
@@ -2883,7 +2748,7 @@ void Engine::handle_barrier(TaskRt& t, Delivery d) {
   }
   if (!t.aligning) {
     t.aligning = true;
-    t.align_start = cur_sim().now();
+    t.align_start = sim_.now();
     t.barriers_from.clear();
   }
   t.barriers_from.insert(chan_key(b.stream, state::barrier_src_task(b)));
@@ -2928,14 +2793,14 @@ void Engine::schedule_snapshot_write(TaskRt& t, uint64_t epoch, SnapBlob snap,
   const Duration wr = state::store_transfer_time(
       snap.shipped + channel_bytes, cfg_.state.store_write_gbps,
       cfg_.state.store_write_latency);
-  cur_sim().schedule_after(wr, [this, task, epoch] {
+  sim_.schedule_after(wr, [this, task, epoch] {
     if (checkpoints_.write_complete(task, epoch)) commit_epoch();
   });
 }
 
 void Engine::complete_alignment(TaskRt& t, uint64_t epoch) {
   if (t.aligning) {
-    checkpoints_.stats().align_stall_total += cur_sim().now() - t.align_start;
+    checkpoints_.stats().align_stall_total += sim_.now() - t.align_start;
     t.aligning = false;
     t.barriers_from.clear();
   }
@@ -3102,7 +2967,7 @@ void Engine::commit_epoch() {
     remote_state_->commit(epoch);
     for (auto& tp : tasks_) tp->store.commit_baseline();
   }
-  checkpoints_.commit(cur_sim().now());
+  checkpoints_.commit(sim_.now());
   const auto& st = checkpoints_.stats();
   if (c_epochs_) {
     c_epochs_->set(st.epochs_completed);
@@ -3114,7 +2979,7 @@ void Engine::commit_epoch() {
     tracer_.complete("checkpoint", "state",
                      primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
                      obs::kLaneControl, epoch_inject_time_,
-                     cur_sim().now() - epoch_inject_time_, epoch);
+                     sim_.now() - epoch_inject_time_, epoch);
   }
   // All barrier copies were consumed before the last snapshot staged, but
   // a fence held by a copy lost to a racing crash must not outlive the
@@ -3196,7 +3061,7 @@ void Engine::do_recover() {
   if (trace_on()) {
     tracer_.instant("state.recovered", "state",
                     primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                    obs::kLaneControl, cur_sim().now(), committed);
+                    obs::kLaneControl, sim_.now(), committed);
   }
   // Re-apply the committed epoch's in-flight channel state (unaligned
   // barriers): these tuples were processed live AFTER the snapshot was
@@ -3235,7 +3100,7 @@ void Engine::replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples) {
     if (*idx >= list->size()) return;
     if (workers_[static_cast<size_t>(st->worker)]->down) return;
     dsps::Tuple tup = (*list)[*idx];
-    tup.root_emit_time = cur_sim().now();
+    tup.root_emit_time = sim_.now();
     const uint64_t root = tup.root_id;
     Delivery d{.tuple = dsps::TupleRef(std::move(tup)), .gen = gen,
                .replayed = true};
@@ -3246,10 +3111,10 @@ void Engine::replay_spout_log(TaskRt& s, std::vector<dsps::Tuple> tuples) {
       // (the earlier instance was written off as lost at the rollback).
       if (c_roots_) c_roots_->inc();
       if (c_ckpt_replays_) c_ckpt_replays_->inc();
-      if (cfg_.enable_acking) acker_.root_emitted(root, cur_sim().now());
+      if (cfg_.enable_acking) acker_.root_emitted(root, sim_.now());
       // One event per injected tuple keeps the recursion flat and lets
       // replay interleave with regular pumping deterministically.
-      cur_sim().schedule_after(0, [next] { next(); });
+      sim_.schedule_after(0, [next] { next(); });
       return;
     }
     st->in_queue->wait_for_space([next] { next(); });

@@ -13,7 +13,6 @@
 
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -38,7 +37,6 @@
 #include "obs/trace.h"
 #include "rdma/verbs.h"
 #include "sim/cpu.h"
-#include "sim/parallel.h"
 #include "sim/queue.h"
 #include "sim/ring.h"
 #include "sim/simulation.h"
@@ -61,24 +59,7 @@ class Engine {
   const RunReport& run(Duration warmup, Duration measure);
 
   const RunReport& report() const { return report_; }
-  // The calling thread's partition simulation on parallel runs (partition 0
-  // outside execution, which post-run readers want); `sim_` on serial runs.
-  sim::Simulation& simulation() {
-    return psim_ ? psim_->current() : sim_;
-  }
-  // True when this run executes on the parallel kernel (cfg.sim.threads
-  // opted in AND the configuration was provably safe to partition).
-  bool parallel() const { return psim_ != nullptr; }
-  // The partitioner's decision: engaged / partition count / threads, or the
-  // first disqualifying knob. Available from construction (before run());
-  // run() copies it into the report's `parallel` block.
-  const RunReport::ParallelDecision& parallel_decision() const {
-    return parallel_info_;
-  }
-  // Node -> partition map of the engaged kernel; empty on serial runs.
-  std::vector<int> node_partition_map() const {
-    return psim_ ? psim_->node_partition_map() : std::vector<int>{};
-  }
+  sim::Simulation& simulation() { return sim_; }
   net::Fabric& fabric() { return *fabric_; }
   const EngineConfig& config() const { return cfg_; }
 
@@ -213,13 +194,11 @@ class Engine {
     std::vector<std::unique_ptr<dsps::PartitioningStrategy>> strategies;
     Duration busy_snapshot = 0;
 
-    // Per-spout-instance arrival state (DESIGN.md §13): each spout instance
-    // draws its arrival gaps and tuple content from its own deterministically
-    // seeded RNG and allocates root ids from its own disjoint stream
-    // (next_root += root_stride, stride = total spout instances). Identical
-    // on the serial and parallel paths — serial stays the ground truth —
-    // and it is what lets spout-hosting nodes partition like any other node
-    // instead of folding into partition 0. Unused (stride 0) for bolts.
+    // Per-spout-instance arrival state: each spout instance draws its
+    // arrival gaps and tuple content from its own deterministically seeded
+    // RNG and allocates root ids from its own disjoint stream
+    // (next_root += root_stride, stride = total spout instances). Unused
+    // (stride 0) for bolts.
     Rng spout_rng{0};
     uint64_t next_root = 0;
     uint64_t root_stride = 0;
@@ -324,13 +303,11 @@ class Engine {
   // tuples per instance, which stays meaningful under overload.
   struct McastTrack {
     Time emit = 0;
-    Time max_recv = 0;  // latest reception so far (order-independent)
     uint32_t remaining_recv = 0;
   };
   // Per-root-tuple source communication-time tracking (Figs. 25/26).
   struct CommTrack {
     Time start = 0;
-    Time last = 0;
     double ser_ns = 0;
     uint32_t outstanding = 0;
     bool all_posted = false;
@@ -484,35 +461,11 @@ class Engine {
 
   // --- metrics ----------------------------------------------------------------
   bool in_window() const {
-    const Time now = cur_sim().now();
+    const Time now = sim_.now();
     return now >= window_start_ && now < window_end_;
   }
   void finalize_report(Duration measure);
   void snapshot_at_window_start();
-
-  // --- parallel kernel (src/sim/parallel.h; DESIGN.md §13) -----------------
-  // Decides eligibility, builds the node->partition map and the
-  // ParallelSimulation. Called before the fabric is constructed (the
-  // fabric binds NICs to partitions); the lookahead is derived after.
-  void setup_parallel();
-  // The simulation events on the calling thread must schedule into /
-  // read clocks from: the thread's partition on parallel runs, sim_
-  // otherwise. Hot path cost when serial: one null check.
-  sim::Simulation& cur_sim() const {
-    return psim_ ? psim_->current() : const_cast<Engine*>(this)->sim_;
-  }
-  // The partition simulation owning `node` (sim_ when serial) — for
-  // scheduling work that must execute on a specific node's partition.
-  sim::Simulation& node_sim(int node) {
-    return psim_ ? psim_->node_sim(node) : sim_;
-  }
-  // Guard for report_/track-map updates that several partitions can reach.
-  // Engaged only on parallel runs; serial runs construct an empty (lock-
-  // free) unique_lock, so the serial hot path takes no mutex.
-  std::unique_lock<std::mutex> shared_guard() {
-    return psim_ ? std::unique_lock<std::mutex>(shared_mu_)
-                 : std::unique_lock<std::mutex>();
-  }
 
   // --- observability ----------------------------------------------------------
   void obs_setup();
@@ -522,17 +475,7 @@ class Engine {
   EngineConfig cfg_;
   dsps::Topology topo_;
   sim::Simulation sim_;
-  // Parallel kernel; null on serial runs (the common case). Declared
-  // after sim_ (it supersedes it) and before fabric_ (NICs bind to its
-  // partitions), and destroyed in reverse order — the worker threads
-  // join before anything they touched is torn down.
-  std::unique_ptr<sim::ParallelSimulation> psim_;
   std::unique_ptr<net::Fabric> fabric_;
-  // Serializes cross-partition updates to report_ and the track maps on
-  // parallel runs (see shared_guard()); never taken on serial runs.
-  std::mutex shared_mu_;
-  // The partitioner's decision, fixed at construction (setup_parallel).
-  RunReport::ParallelDecision parallel_info_;
 
   std::vector<std::unique_ptr<sim::CorePool>> core_pools_;  // per node
   std::vector<std::unique_ptr<TaskRt>> tasks_;

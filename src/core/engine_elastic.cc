@@ -18,10 +18,6 @@
 // where the topology can change atomically. An epoch abort instead calls
 // cancel_rescale: the plan dies with the epoch (the controller re-issues
 // after its cooldown if the backlog persists).
-//
-// All of this runs on the serial kernel by construction: setup_parallel
-// names "elastic" as a fallback reason before anything here executes, so
-// no shared_guard locking appears below.
 
 #include <algorithm>
 #include <memory>
@@ -120,7 +116,7 @@ double Engine::op_backlog_frac(int op) const {
 }
 
 void Engine::elastic_tick() {
-  const Time now = cur_sim().now();
+  const Time now = sim_.now();
   for (size_t op = 0; op < escalers_.size(); ++op) {
     elastic::ScalingController* sc = escalers_[op].get();
     if (!sc) continue;
@@ -158,13 +154,13 @@ void Engine::cancel_rescale() {
   if (pending_plan_) {
     elastic::ScalingController* sc =
         escalers_[static_cast<size_t>(pending_plan_->op)].get();
-    if (sc) sc->abort(cur_sim().now());
+    if (sc) sc->abort(sim_.now());
     ++report_.elastic.rescales_canceled;
     if (c_el_canceled_) c_el_canceled_->inc();
     if (trace_on()) {
       tracer_.instant("rescale.cancel", "elastic",
                       primary_src_worker_ >= 0 ? primary_src_worker_ : 0,
-                      obs::kLaneControl, cur_sim().now(),
+                      obs::kLaneControl, sim_.now(),
                       static_cast<uint64_t>(pending_plan_->op));
     }
   }
@@ -210,7 +206,7 @@ void Engine::execute_rescale(uint64_t epoch) {
   const auto& spec = topo_.ops[static_cast<size_t>(opi)];
   const int old_n = static_cast<int>(op_tasks_[static_cast<size_t>(opi)].size());
   const int new_n = plan.to;
-  const Time now = cur_sim().now();
+  const Time now = sim_.now();
 
   // --- 1. merge + re-split keyed state --------------------------------------
   // Every old instance is quiesced with this epoch's snapshot committed,
@@ -291,7 +287,7 @@ void Engine::execute_rescale(uint64_t epoch) {
       t->worker = node;  // one worker process per node
       t->node = node;
       t->cpu = std::make_unique<sim::CpuServer>(
-          node_sim(node), spec.name + "[" + std::to_string(i) + "]",
+          sim_, spec.name + "[" + std::to_string(i) + "]",
           pool_of(node));
       t->in_queue = std::make_unique<sim::BoundedQueue<Delivery>>(
           cfg_.executor_queue_capacity);
@@ -583,7 +579,7 @@ void Engine::rescale_mcast_group(McastGroup& g) {
     g.tree.set_repair_observer(
         [this, graw](const char* op, int node, size_t moves) {
           tracer_.instant(op, "mcast", graw->src_worker, obs::kLaneControl,
-                          cur_sim().now(), 0, "moves",
+                          sim_.now(), 0, "moves",
                           static_cast<double>(moves));
           (void)node;
         });

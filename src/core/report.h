@@ -121,23 +121,6 @@ struct RunReport {
   uint64_t channel_bytes = 0;            // their byte volume
   uint64_t channel_replays = 0;          // re-injected during recovery
 
-  // --- parallel kernel decision (DESIGN.md §13) ----------------------------
-  // What Engine::setup_parallel decided and why. Structural metadata, not a
-  // counter: excluded from fingerprint() (a serial and a parallel run of the
-  // same config must fingerprint identically, and this block differs by
-  // construction). fallback_reason names the FIRST disqualifying knob in
-  // the eligibility order, so tests can pin the matrix knob by knob.
-  struct ParallelDecision {
-    bool engaged = false;     // the partitioned kernel actually runs
-    int num_partitions = 0;   // one per node once engaged; 0 otherwise
-    int threads = 0;          // executing threads (<= num_partitions)
-    // "" when engaged; otherwise one of: "not_requested", "acking",
-    // "replay", "faults", "elastic", "state", "obs", "optimized_rdma",
-    // "nonblocking_mcast", "load_aware_strategy", "single_partition".
-    std::string fallback_reason;
-  };
-  ParallelDecision parallel;
-
   // --- per-stream routing (DESIGN.md §11) ----------------------------------
   // One row per stream: which PartitioningStrategy routed it and how the
   // window's deliveries spread over the destination instances. Lets bench
@@ -155,7 +138,7 @@ struct RunReport {
 
   // --- elastic rescaling (DESIGN.md §14) -----------------------------------
   // Outcome of the gauge-driven rescale subsystem. Excluded from
-  // fingerprint() wholesale, like ParallelDecision/StreamRouting: the
+  // fingerprint() wholesale, like StreamRouting: the
   // mcast-tree scale_ups/scale_downs above are already fingerprinted, and
   // an elastic-off run must stay bit-identical to the committed baseline.
   struct Elastic {

@@ -106,8 +106,7 @@ class Spout {
   virtual void prepare(const TaskContext&) {}
   // Produces the next root tuple (called once per arrival event). The
   // engine passes this spout *instance's* own deterministically seeded
-  // RNG — instances never share a stream, so emission is reproducible
-  // regardless of how instances interleave across partitions.
+  // RNG — instances never share a stream.
   virtual Tuple next(Rng& rng) = 0;
   // Modeled CPU time to produce one tuple (reading from the source queue).
   virtual Duration emit_cost() const { return us(2); }

@@ -6,7 +6,6 @@
 // measure end-to-end processing latency and multicast completion.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <new>
@@ -188,8 +187,7 @@ struct Tuple {
 // Shared immutable tuple: a one-pointer handle on a slab block holding
 // {refcount, Tuple}. The dispatcher decodes a tuple once and hands the same
 // block to every local executor; each queued copy costs 8 bytes and a
-// plain increment. Like Buffer, the count turns atomic only in mt mode
-// (g_buffer_mt): a handle copied on one partition may drop on another.
+// plain increment.
 class TupleRef {
  public:
   TupleRef() = default;
@@ -197,14 +195,14 @@ class TupleRef {
       : b_(new (slab_alloc(sizeof(Block))) Block{1, std::move(t)}) {}
 
   TupleRef(const TupleRef& o) noexcept : b_(o.b_) {
-    if (b_) ref(b_);
+    if (b_) ++b_->refs;
   }
   TupleRef(TupleRef&& o) noexcept : b_(o.b_) { o.b_ = nullptr; }
   TupleRef& operator=(const TupleRef& o) noexcept {
     if (this != &o) {
       drop();
       b_ = o.b_;
-      if (b_) ref(b_);
+      if (b_) ++b_->refs;
     }
     return *this;
   }
@@ -230,24 +228,8 @@ class TupleRef {
     Tuple tuple;
   };
 
-  static void ref(Block* b) {
-    if (g_buffer_mt) {
-      std::atomic_ref<uint32_t>(b->refs).fetch_add(1,
-                                                   std::memory_order_relaxed);
-    } else {
-      ++b->refs;
-    }
-  }
-  static bool unref(Block* b) {
-    if (g_buffer_mt) {
-      return std::atomic_ref<uint32_t>(b->refs).fetch_sub(
-                 1, std::memory_order_acq_rel) == 1;
-    }
-    return --b->refs == 0;
-  }
-
   void drop() {
-    if (b_ && unref(b_)) {
+    if (b_ && --b_->refs == 0) {
       b_->~Block();
       slab_free(b_, sizeof(Block));
     }

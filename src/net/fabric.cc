@@ -6,27 +6,18 @@
 
 namespace whale::net {
 
-Fabric::Fabric(sim::Simulation& sim, ClusterSpec spec,
-               sim::ParallelSimulation* psim)
-    : sim_(sim), psim_(psim), spec_(spec) {
+Fabric::Fabric(sim::Simulation& sim, ClusterSpec spec)
+    : sim_(sim), spec_(spec) {
   node_up_.assign(static_cast<size_t>(spec_.num_nodes), 1);
-  messages_dropped_.assign(static_cast<size_t>(spec_.num_nodes), 0);
-  bytes_dropped_.assign(static_cast<size_t>(spec_.num_nodes), 0);
   for (int t = 0; t < 2; ++t) {
     const bool tcp = (t == static_cast<int>(Transport::kTcp));
     const double bw = tcp ? spec_.eth_bandwidth_bps : spec_.ib_bandwidth_bps;
     txs_[t].reserve(static_cast<size_t>(spec_.num_nodes));
     bytes_sent_[t].assign(static_cast<size_t>(spec_.num_nodes), 0);
-    messages_sent_[t].assign(static_cast<size_t>(spec_.num_nodes), 0);
     for (int n = 0; n < spec_.num_nodes; ++n) {
-      // Each node's NIC lives in that node's partition: its completion
-      // events are intra-partition, only the post-delay (propagation)
-      // hop crosses, and that goes through the router.
-      auto& nic_sim = psim_ ? psim_->node_sim(n) : sim_;
       txs_[t].push_back(std::make_unique<sim::ThroughputResource>(
-          nic_sim,
-          std::string(tcp ? "eth" : "ib") + "_tx" + std::to_string(n), bw));
-      if (psim_) txs_[t].back()->set_router(psim_);
+          sim_, std::string(tcp ? "eth" : "ib") + "_tx" + std::to_string(n),
+          bw));
     }
   }
 }
@@ -43,29 +34,6 @@ void Fabric::degrade_link(int src, int dst, double bandwidth_factor,
                           double latency_factor) {
   assert(bandwidth_factor >= 0.0 && latency_factor > 0.0);
   degraded_[link_key(src, dst)] = LinkState{bandwidth_factor, latency_factor};
-}
-
-Duration Fabric::min_cross_propagation(
-    Transport t, const std::vector<int>& node_partition) const {
-  Duration best = kNoCrossLinks;
-  for (int src = 0; src < spec_.num_nodes; ++src) {
-    for (int dst = 0; dst < spec_.num_nodes; ++dst) {
-      if (src == dst) continue;
-      if (node_partition[static_cast<size_t>(src)] ==
-          node_partition[static_cast<size_t>(dst)]) {
-        continue;
-      }
-      Duration p = propagation(t, src, dst);
-      auto it = degraded_.find(link_key(src, dst));
-      if (it != degraded_.end()) {
-        if (it->second.bandwidth_factor <= 0.0) continue;  // partitioned
-        p = static_cast<Duration>(static_cast<double>(p) *
-                                  it->second.latency_factor);
-      }
-      best = std::min(best, std::max<Duration>(1, p));
-    }
-  }
-  return best;
 }
 
 void Fabric::restore_link(int src, int dst) {
@@ -86,8 +54,8 @@ bool Fabric::transmit(Transport t, int src, int dst, uint64_t payload_bytes,
     // A dead endpoint: the message vanishes (the sender's NIC may not even
     // exist anymore). Recovery is the upper layers' job — the acker times
     // the lost tuple out and the spout replays it.
-    ++messages_dropped_[static_cast<size_t>(src)];
-    bytes_dropped_[static_cast<size_t>(src)] += payload_bytes;
+    ++messages_dropped_;
+    bytes_dropped_ += payload_bytes;
     if (ls) {
       ++ls->msgs_dropped;
       ls->bytes_dropped += payload_bytes;
@@ -115,8 +83,8 @@ bool Fabric::transmit(Transport t, int src, int dst, uint64_t payload_bytes,
   if (lit != degraded_.end()) {
     link = &lit->second;
     if (link->bandwidth_factor <= 0.0) {
-      ++messages_dropped_[static_cast<size_t>(src)];  // partitioned link
-      bytes_dropped_[static_cast<size_t>(src)] += payload_bytes;
+      ++messages_dropped_;  // partitioned link
+      bytes_dropped_ += payload_bytes;
       if (ls) {
         ++ls->msgs_dropped;
         ls->bytes_dropped += payload_bytes;
@@ -126,7 +94,7 @@ bool Fabric::transmit(Transport t, int src, int dst, uint64_t payload_bytes,
   }
   const uint64_t wire = cost_.wire_bytes(t, payload_bytes);
   bytes_sent_[static_cast<size_t>(t)][static_cast<size_t>(src)] += wire;
-  ++messages_sent_[static_cast<size_t>(t)][static_cast<size_t>(src)];
+  ++messages_sent_[static_cast<size_t>(t)];
   Duration prop = propagation(t, src, dst);
   auto& nic = tx(t, src);
   Duration fixed = engine_fixed;
@@ -134,8 +102,7 @@ bool Fabric::transmit(Transport t, int src, int dst, uint64_t payload_bytes,
     // A slower link shows up as extra serialization time per message (the
     // NIC engine is held for the additional wire time), and propagation
     // stretches by the latency factor. Floored at 1 ns so a sped-up link
-    // (latency_factor < 1) still delivers strictly in the future — the
-    // same floor min_cross_propagation() applies to the lookahead.
+    // (latency_factor < 1) still delivers strictly in the future.
     const Duration base = nic.transfer_time(wire);
     fixed += static_cast<Duration>(
         static_cast<double>(base) * (1.0 / link->bandwidth_factor - 1.0));
@@ -145,9 +112,8 @@ bool Fabric::transmit(Transport t, int src, int dst, uint64_t payload_bytes,
   }
   // The NIC schedules `delivered` prop after serialization completes; no
   // trampoline callback, so small delivery continuations stay inline in
-  // the event slab. `dst` rides along so a parallel run's router can land
-  // the delivery in the destination node's partition.
-  nic.transfer(wire, std::move(delivered), fixed, prop, dst);
+  // the event slab.
+  nic.transfer(wire, std::move(delivered), fixed, prop);
   return true;
 }
 

@@ -18,7 +18,6 @@
 #include "common/time.h"
 #include "net/cluster.h"
 #include "net/cost_model.h"
-#include "sim/parallel.h"
 #include "sim/resource.h"
 #include "sim/simulation.h"
 
@@ -30,18 +29,10 @@ namespace whale::net {
 
 class Fabric {
  public:
-  // With `psim` set (parallel runs), each node's NIC resources are bound
-  // to that node's partition and post-delay completions route through the
-  // partition channels; serial runs bind everything to `sim`.
-  Fabric(sim::Simulation& sim, ClusterSpec spec,
-         sim::ParallelSimulation* psim = nullptr);
+  Fabric(sim::Simulation& sim, ClusterSpec spec);
 
   const ClusterSpec& spec() const { return spec_; }
-  // The simulation of the partition executing the calling thread (the
-  // single shared simulation on serial runs). Delivery scheduling and
-  // clock reads inside transport callbacks go through here so the same
-  // code drives both modes.
-  sim::Simulation& simulation() { return psim_ ? psim_->current() : sim_; }
+  sim::Simulation& simulation() { return sim_; }
   int num_nodes() const { return spec_.num_nodes; }
 
   // Moves `payload_bytes` (+ framing overhead) from `src` to `dst` over the
@@ -62,9 +53,7 @@ class Fabric {
   }
   uint64_t total_bytes_sent(Transport t) const;
   uint64_t messages_sent(Transport t) const {
-    uint64_t sum = 0;
-    for (uint64_t m : messages_sent_[static_cast<size_t>(t)]) sum += m;
-    return sum;
+    return messages_sent_[static_cast<size_t>(t)];
   }
 
   sim::ThroughputResource& tx(Transport t, int node) {
@@ -72,18 +61,6 @@ class Fabric {
   }
 
   Duration propagation(Transport t, int src, int dst) const;
-
-  // Conservative lookahead for the parallel kernel: the minimum effective
-  // propagation delay over every ordered cross-partition node pair on the
-  // given transport, with degraded-link latency factors applied (a factor
-  // below 1 shrinks the lookahead) and partitioned links (bandwidth
-  // factor 0) skipped — they deliver nothing, so they bound nothing.
-  // Floored at 1 ns, matching the floor transmit() applies to degraded
-  // propagation, so a delivered message can never undercut the window.
-  // Returns kNoCrossLinks when no pair crosses partitions.
-  static constexpr Duration kNoCrossLinks = INT64_MAX;
-  Duration min_cross_propagation(
-      Transport t, const std::vector<int>& node_partition) const;
 
   // --- fault injection ---------------------------------------------------
   // A down node drops everything addressed to or originating from it.
@@ -103,16 +80,8 @@ class Fabric {
     return degraded_.count(link_key(src, dst)) > 0;
   }
 
-  uint64_t messages_dropped() const {
-    uint64_t sum = 0;
-    for (uint64_t m : messages_dropped_) sum += m;
-    return sum;
-  }
-  uint64_t bytes_dropped() const {
-    uint64_t sum = 0;
-    for (uint64_t b : bytes_dropped_) sum += b;
-    return sum;
-  }
+  uint64_t messages_dropped() const { return messages_dropped_; }
+  uint64_t bytes_dropped() const { return bytes_dropped_; }
 
   // --- observability -----------------------------------------------------
   // Per-directed-link payload accounting (sent at transmit entry, including
@@ -156,21 +125,17 @@ class Fabric {
   }
 
   sim::Simulation& sim_;
-  sim::ParallelSimulation* psim_ = nullptr;
   ClusterSpec spec_;
   CostModel cost_;
   // [transport][node]
   std::vector<std::unique_ptr<sim::ThroughputResource>> txs_[2];
   std::vector<uint64_t> bytes_sent_[2];
-  // Counters that transmit() bumps are sharded per source node: a
-  // parallel run's transmits execute on the source's partition, so each
-  // slot has a single writer. Accessors sum (reports read them post-run).
-  std::vector<uint64_t> messages_sent_[2];
+  uint64_t messages_sent_[2] = {0, 0};
 
   std::vector<uint8_t> node_up_;
   std::unordered_map<uint64_t, LinkState> degraded_;
-  std::vector<uint64_t> messages_dropped_;
-  std::vector<uint64_t> bytes_dropped_;
+  uint64_t messages_dropped_ = 0;
+  uint64_t bytes_dropped_ = 0;
 
   bool link_stats_enabled_ = false;
   // unordered_map gives stable element addresses, so the delivery wrapper

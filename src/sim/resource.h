@@ -16,15 +16,6 @@
 
 namespace whale::sim {
 
-// Routes a post-delay completion to the partition that owns `dst_node`.
-// Implemented by ParallelSimulation; a serial run leaves the router unset
-// and completions go through the resource's own simulation unchanged.
-class PartitionRouter {
- public:
-  virtual ~PartitionRouter() = default;
-  virtual void post_after(int dst_node, Duration d, InlineFunction fn) = 0;
-};
-
 class ThroughputResource {
  public:
   // bandwidth_bps: bits per second.
@@ -52,21 +43,13 @@ class ThroughputResource {
   // The default (kNoPostDelay) invokes `done` inline at completion.
   static constexpr Duration kNoPostDelay = -1;
 
-  // `dst_node` identifies the post-delay completion's destination for the
-  // parallel kernel's router; -1 (or no router) keeps the completion in
-  // this resource's own simulation.
   void transfer(uint64_t bytes, InlineFunction done, Duration fixed = 0,
-                Duration post_delay = kNoPostDelay, int dst_node = -1) {
+                Duration post_delay = kNoPostDelay) {
     jobs_.push_back(
-        Job{transfer_time(bytes) + fixed, post_delay, dst_node,
-            std::move(done)});
+        Job{transfer_time(bytes) + fixed, post_delay, std::move(done)});
     bytes_total_ += bytes;
     if (!busy_) start_next();
   }
-
-  // The parallel kernel installs itself here so cross-partition completions
-  // land in the destination node's partition. Never set on serial runs.
-  void set_router(PartitionRouter* router) { router_ = router; }
 
   bool busy() const { return busy_; }
   size_t queue_depth() const { return jobs_.size(); }
@@ -79,7 +62,6 @@ class ThroughputResource {
   struct Job {
     Duration duration;
     Duration post_delay;
-    int dst_node;
     InlineFunction done;
   };
 
@@ -100,12 +82,7 @@ class ThroughputResource {
     InlineFunction done = std::move(current_.done);
     if (done) {
       if (current_.post_delay >= 0) {
-        if (router_ && current_.dst_node >= 0) {
-          router_->post_after(current_.dst_node, current_.post_delay,
-                              std::move(done));
-        } else {
-          sim_.schedule_after(current_.post_delay, std::move(done));
-        }
+        sim_.schedule_after(current_.post_delay, std::move(done));
       } else {
         done();
       }
@@ -116,7 +93,6 @@ class ThroughputResource {
   Simulation& sim_;
   std::string name_;
   double bandwidth_bps_;
-  PartitionRouter* router_ = nullptr;
   Ring<Job> jobs_;
   Job current_{};
   bool busy_ = false;

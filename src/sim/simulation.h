@@ -75,9 +75,6 @@ class Simulation {
     return true;
   }
 
-  // Earliest pending event time (heap_.front() must exist).
-  Time front_time() const { return heap_.front().time; }
-
   // Processes every event with time <= t, then advances the clock to t.
   // Each iteration reads heap_.front() exactly once and fully pops the
   // event before invoking its callback, so a throwing callback can never
@@ -87,27 +84,11 @@ class Simulation {
     if (now_ < t) now_ = t;
   }
 
-  // Processes every event with time strictly < t, then advances the clock
-  // to t. This is the window primitive of the parallel kernel: a partition
-  // granted the window [now, t) executes exactly the events below t and
-  // parks its clock on the boundary.
-  void run_before(Time t) {
-    while (!heap_.empty() && heap_.front().time < t) pop_and_run();
-    if (now_ < t) now_ = t;
-  }
-
   // Runs until no events remain (or `max_events` as a runaway guard).
   void run(uint64_t max_events = UINT64_MAX) {
     uint64_t n = 0;
     while (n < max_events && step()) ++n;
   }
-
-#ifndef NDEBUG
-  // Debug guard for the parallel kernel: a partition's clock must never
-  // exceed the window it was granted. kNoLimit disarms the check.
-  static constexpr Time kNoWindowLimit = INT64_MAX;
-  void set_window_limit(Time t) { window_limit_ = t; }
-#endif
 
  private:
   static constexpr uint32_t kNilSlot = UINT32_MAX;
@@ -120,10 +101,6 @@ class Simulation {
     const HeapEntry ev = heap_.back();
     heap_.pop_back();
     now_ = ev.time;
-#ifndef NDEBUG
-    assert(now_ <= window_limit_ &&
-           "partition clock exceeded its granted window");
-#endif
     ++processed_;
     // Move the callback out and recycle the slot BEFORE invoking: the
     // callback may schedule further events, growing (and reallocating)
@@ -162,9 +139,6 @@ class Simulation {
   Time now_ = 0;
   uint64_t seq_ = 0;
   uint64_t processed_ = 0;
-#ifndef NDEBUG
-  Time window_limit_ = kNoWindowLimit;
-#endif
 };
 
 }  // namespace whale::sim

@@ -4,13 +4,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
 #include <cstdlib>
 #include <limits>
 #include <new>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <variant>
 
 #include "core/message.h"
@@ -20,13 +18,11 @@
 // Deallocation watch: the TupleRef tests point g_watched at one heap block
 // (a long string's character buffer) and count how often it is freed.
 namespace {
-std::atomic<const void*> g_watched{nullptr};
-std::atomic<int> g_watched_frees{0};
+const void* g_watched = nullptr;
+int g_watched_frees = 0;
 
 void note_free(void* p) {
-  if (p != nullptr && p == g_watched.load(std::memory_order_relaxed)) {
-    g_watched_frees.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (p != nullptr && p == g_watched) ++g_watched_frees;
 }
 }  // namespace
 
@@ -349,38 +345,11 @@ TEST(TupleRef, LastDropDestroysTheTuple) {
   g_watched = a->as_string(1).data();
   TupleRef b = a;
   a = TupleRef();
-  EXPECT_EQ(g_watched_frees.load(), 0);
+  EXPECT_EQ(g_watched_frees, 0);
   EXPECT_EQ(b.use_count(), 1u);
   b = TupleRef();
-  EXPECT_EQ(g_watched_frees.load(), 1);
+  EXPECT_EQ(g_watched_frees, 1);
   g_watched = nullptr;
-}
-
-// In mt mode (parallel kernel) the count goes through atomic_ref: two
-// threads copying and dropping handles to one tuple, the last drop on
-// either of them, free it exactly once.
-TEST(TupleRef, ConcurrentCopiesDestroyOnceInMtMode) {
-  const bool was_mt = g_buffer_mt;
-  g_buffer_mt = true;
-  g_watched_frees = 0;
-  {
-    TupleRef root(long_string_tuple());
-    g_watched = root->as_string(1).data();
-    const auto churn = [](TupleRef own) {
-      for (int i = 0; i < 20000; ++i) {
-        TupleRef c = own;
-        TupleRef d = std::move(c);
-        EXPECT_EQ(d->root_id, 5u);
-      }
-    };
-    std::thread t1(churn, root);
-    std::thread t2(churn, std::move(root));
-    t1.join();
-    t2.join();
-  }
-  EXPECT_EQ(g_watched_frees.load(), 1);
-  g_watched = nullptr;
-  g_buffer_mt = was_mt;
 }
 
 // --- topology builder ---------------------------------------------------------

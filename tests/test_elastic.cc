@@ -8,9 +8,10 @@
 //      exactly-once at the sink, with keyed state conserved across every
 //      migration and zero recoveries;
 //  (f) crash-recovery composes with a committed rescale (restore targets
-//      the migrated images and the post-rescale topology);
-//  (g) zero-overhead contract: with elasticity off, reports are
-//      bit-identical to a never-configured run.
+//      the migrated images and the post-rescale topology).
+// The zero-overhead contract (elasticity off is bit-identical to the
+// committed baseline) lives with the other inertness gates in
+// tests/test_fingerprint.cc.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -562,31 +563,6 @@ TEST(ElasticRescale, CrashAfterRescaleRestoresMigratedImages) {
   for (const auto& [seq, n] : counts) {
     EXPECT_EQ(n, 1u) << "sequence " << seq << " applied " << n << " times";
   }
-}
-
-// --- (g) zero-overhead contract --------------------------------------------
-
-TEST(ElasticInertness, DisabledRunMatchesUnconfiguredRun) {
-  auto fingerprint = [](bool touch_elastic_cfg) {
-    Handles h;
-    EngineConfig c;
-    c.cluster.num_nodes = 4;
-    c.variant = SystemVariant::Whale();
-    c.seed = 7;
-    c.state.enabled = true;
-    c.state.checkpoint_interval = ms(25);
-    if (touch_elastic_cfg) {
-      c.elastic.enabled = false;  // compiled in, explicitly off
-      c.elastic.poll_interval = ms(1);
-      c.elastic.up_backlog = 0.0001;  // would fire instantly if live
-    }
-    Engine e(c, elastic_topo(dsps::RateProfile::constant(800.0), 2, us(100),
-                             &h));
-    return e.run(ms(50), ms(300)).fingerprint();
-  };
-  const std::string off = fingerprint(true);
-  const std::string never = fingerprint(false);
-  EXPECT_EQ(off, never);
 }
 
 }  // namespace

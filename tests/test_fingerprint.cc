@@ -10,6 +10,10 @@
 //     the tracer only records from callbacks that already exist, so it
 //     schedules zero extra simulation events and perturbs nothing.
 //
+// Properties 3 and 4 pin the checkpointing and elastic layers the same
+// way: compiled in but runtime-off, with every other knob of theirs moved
+// off its default, they too match the baseline.
+//
 // Metrics snapshots DO schedule events (the periodic snapshot loop), so
 // metrics-on parity is intentionally not asserted.
 #include <fstream>
@@ -99,6 +103,50 @@ TEST(FingerprintParity, DisabledCheckpointingMatchesBaseline) {
     ASSERT_NE(it, baseline.end()) << got.label;
     EXPECT_EQ(got.fingerprint, it->second) << got.label;
     EXPECT_EQ(got.fingerprint.find("epochs="), std::string::npos) << got.label;
+  }
+}
+
+// Property 4: elastic rescaling compiled in but runtime-off is
+// bit-identical to the baseline with every other elastic knob set to a
+// value that would act at once if the subsystem were live. Elasticity
+// needs checkpointing, so each probe also runs with state on, where the
+// knobs must be just as inert against the same probe without them.
+TEST(FingerprintParity, DisabledElasticMatchesBaseline) {
+  const auto baseline = load_baseline();
+  const auto touch_elastic = [](whale::core::EngineConfig& cfg) {
+    cfg.elastic.enabled = false;
+    cfg.elastic.poll_interval = whale::ms(1);
+    cfg.elastic.up_backlog = 0.0001;
+    cfg.elastic.down_backlog = 0.9;
+    cfg.elastic.sustain_up = 1;
+    cfg.elastic.sustain_down = 1;
+    cfg.elastic.cooldown = 0;
+    cfg.elastic.step = 4;
+    cfg.elastic.max_parallelism = 2;
+  };
+  const auto state_on = [](whale::core::EngineConfig& cfg) {
+    cfg.state.enabled = true;
+    cfg.state.checkpoint_interval = whale::ms(25);
+  };
+  for (const auto& label : fingerprint_probe_labels()) {
+    const FingerprintLine got = run_fingerprint_probe(label, touch_elastic);
+    auto it = baseline.find(got.label);
+    ASSERT_NE(it, baseline.end()) << got.label;
+    EXPECT_EQ(got.fingerprint, it->second) << got.label;
+
+    const FingerprintLine untouched = run_fingerprint_probe(label, state_on);
+    const FingerprintLine touched = run_fingerprint_probe(
+        label, [&](whale::core::EngineConfig& cfg) {
+          state_on(cfg);
+          touch_elastic(cfg);
+        });
+    EXPECT_EQ(touched.fingerprint, untouched.fingerprint) << label;
+    if (whale::state::kCompiled) {
+      // The state-on leg really checkpoints, so it is not the first leg
+      // over again.
+      EXPECT_NE(untouched.fingerprint.find("epochs="), std::string::npos)
+          << label;
+    }
   }
 }
 

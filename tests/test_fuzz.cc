@@ -4,7 +4,10 @@
 // conservation under random payload mixes, and a whole-engine sweep that
 // asserts tuple conservation under random topologies x random fault plans.
 #include <algorithm>
+#include <span>
+#include <stdexcept>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -84,19 +87,28 @@ TEST(Fuzz, SerdeBatchMessageRoundTrip) {
   }
 }
 
+// Both wire formats have an exact length and the decoder bounds-checks
+// every read, so every strict prefix of an encoded message must throw:
+// the cut lands inside a field or before a field the counts promise.
 TEST(Fuzz, TruncatedMessagesThrowNotCrash) {
   Rng rng(0xDead);
-  for (int iter = 0; iter < 500; ++iter) {
+  for (int iter = 0; iter < 200; ++iter) {
     const auto t = random_tuple(rng);
-    auto bytes = dsps::TupleSerde::encode_instance_message(7, t);
-    if (bytes.empty()) continue;
-    bytes.resize(rng.next_below(bytes.size()));  // strictly shorter
-    try {
-      (void)dsps::TupleSerde::decode_instance_message(bytes);
-      // Short prefixes can decode if the cut lands between fields when
-      // the field count happens to be consistent; either outcome is fine
-      // as long as nothing crashes.
-    } catch (const std::exception&) {
+    std::vector<int32_t> ids(rng.next_below(40));
+    for (auto& id : ids) id = static_cast<int32_t>(rng.next_below(100000));
+    const auto inst = dsps::TupleSerde::encode_instance_message(7, t);
+    const auto batch = dsps::TupleSerde::encode_batch_message(ids, t);
+    for (size_t len = 0; len < inst.size(); ++len) {
+      EXPECT_THROW((void)dsps::TupleSerde::decode_instance_message(
+                       std::span<const uint8_t>(inst.data(), len)),
+                   std::out_of_range)
+          << "iter=" << iter << " len=" << len << "/" << inst.size();
+    }
+    for (size_t len = 0; len < batch.size(); ++len) {
+      EXPECT_THROW((void)dsps::TupleSerde::decode_batch_message(
+                       std::span<const uint8_t>(batch.data(), len)),
+                   std::out_of_range)
+          << "iter=" << iter << " len=" << len << "/" << batch.size();
     }
   }
 }
