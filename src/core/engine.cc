@@ -1147,10 +1147,10 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
     }
   }
   Duration cost;
-  dsps::Emissions emissions;
+  dsps::Emitter em;
   if (t.spout) {
     cost = t.spout->emit_cost();
-    emissions.emplace_back(0, *tuple);
+    em.emit(*tuple);
     // Epoch log (source offsets): this root belongs to the epoch the NEXT
     // barrier will open (tags > last_committed form the rewind set).
     // Replayed deliveries keep their original log entry.
@@ -1158,11 +1158,9 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
       checkpoints_.log_emission(t.id, t.epoch + 1, *tuple);
     }
   } else {
-    dsps::Emitter em;
     cost = t.bolt->execute(*tuple, em);
-    emissions = std::move(em.take());
     // Propagate root identity to descendants.
-    for (auto& [idx, e] : emissions) {
+    for (auto& [idx, e] : em.take()) {
       e.root_id = tuple->root_id;
       e.root_emit_time = tuple->root_emit_time;
     }
@@ -1189,35 +1187,48 @@ void Engine::process_tuple(TaskRt& t, Delivery d) {
   for (auto& g : groups_) {
     if (g->src_task == t.id) g->app_monitor.record(cost);
   }
+  // Non-empty emissions wait in the task, not in the continuation's
+  // capture, which then fits InlineFunction's inline storage. A FIFO rather
+  // than a single slot: a crash clears `processing` while this job is
+  // still queued on the executor, so after a restart a second tuple's job
+  // can queue behind it. The executor runs jobs in order, so each
+  // continuation that parked takes the front entry.
+  dsps::Emissions& emissions = em.take();
+  const bool parked = !emissions.empty();
+  if (parked) t.parked_emissions.push_back(std::move(emissions));
   TaskRt* traw = &t;
   const bool is_spout = t.spout != nullptr;
   const uint64_t root = tuple->root_id;
-  const char* span_name =
-      is_spout ? "spout.next" : (op.out_streams.empty() ? "sink" : "bolt.execute");
-  t.cpu->execute(
-      cost, sim::CpuCategory::kAppLogic,
-      [this, traw, root, ack_edge, is_spout, cost, span_name,
-       emissions = std::move(emissions)]() mutable {
-        if (trace_on() && tracer_.sampled(root)) {
-          tracer_.complete(span_name, "app", traw->worker, obs::kLaneApp,
-                           sim_.now() - cost, cost, root);
+  auto executed = [this, traw, root, ack_edge, cost, is_spout, parked] {
+    if (trace_on() && tracer_.sampled(root)) {
+      const bool sink =
+          topo_.ops[static_cast<size_t>(traw->op)].out_streams.empty();
+      tracer_.complete(
+          is_spout ? "spout.next" : (sink ? "sink" : "bolt.execute"), "app",
+          traw->worker, obs::kLaneApp, sim_.now() - cost, cost, root);
+    }
+    auto finish = [this, traw, root, ack_edge, is_spout] {
+      // Children anchored (inside route_emissions) BEFORE the input edge
+      // is acked — Storm's ordering requirement.
+      if (cfg_.enable_acking) {
+        if (is_spout) {
+          acker_.root_finished(root);
+        } else if (ack_edge != 0) {
+          acker_.acked(root, ack_edge);
         }
-        route_emissions(
-            *traw, std::move(emissions),
-            [this, traw, root, ack_edge, is_spout] {
-              // Children anchored (inside route_emissions) BEFORE the
-              // input edge is acked — Storm's ordering requirement.
-              if (cfg_.enable_acking) {
-                if (is_spout) {
-                  acker_.root_finished(root);
-                } else if (ack_edge != 0) {
-                  acker_.acked(root, ack_edge);
-                }
-              }
-              traw->processing = false;
-              pump_task(*traw);
-            });
-      });
+      }
+      traw->processing = false;
+      pump_task(*traw);
+    };
+    if (parked) {
+      route_emissions(*traw, traw->parked_emissions.pop_front(), finish);
+    } else {
+      finish();  // what route_emissions does with no emissions
+    }
+  };
+  // One tuple, one continuation: kept inline so it takes no slab block.
+  static_assert(sizeof(executed) <= InlineFunction::kInlineBytes);
+  t.cpu->execute(cost, sim::CpuCategory::kAppLogic, std::move(executed));
 }
 
 void Engine::route_emissions(TaskRt& t, dsps::Emissions emissions,
@@ -1388,8 +1399,7 @@ void Engine::send_point_to_point(TaskRt& t, const dsps::TupleRef& tup,
       tracked = comm_tracks_.size() < kMaxTrackedTuples;
       if (tracked) {
         comm_tracks_[tup->root_id] =
-            CommTrack{sim_.now(), 0.0,
-                      static_cast<uint32_t>(remote.size()), true};
+            CommTrack{sim_.now(), 0.0, static_cast<uint32_t>(remote.size())};
       }
     }
     const uint64_t track_root = tracked ? tup->root_id : 0;
@@ -1580,7 +1590,7 @@ void Engine::send_mcast(TaskRt& t, McastGroup& g, const dsps::TupleRef& tup,
   if (tracked && in_window()) {
     if (comm_tracks_.size() < kMaxTrackedTuples) {
       comm_tracks_[root] =
-          CommTrack{sim_.now(), static_cast<double>(ser), 0, false};
+          CommTrack{sim_.now(), static_cast<double>(ser), 0};
     }
   }
 

@@ -179,6 +179,9 @@ class Engine {
     std::unique_ptr<dsps::Bolt> bolt;
     std::unique_ptr<dsps::Spout> spout;
     bool processing = false;
+    // Non-empty emissions of executed tuples whose app-logic CPU job has
+    // not yet completed, oldest first (process_tuple).
+    sim::Ring<dsps::Emissions> parked_emissions;
     // Elastic rescaling (src/elastic; DESIGN.md §14). A retired instance
     // stays in tasks_ (ids are stable engine-wide) but turns inactive:
     // deliveries to it are counted stale drops and its executor never
@@ -310,7 +313,6 @@ class Engine {
     Time start = 0;
     double ser_ns = 0;
     uint32_t outstanding = 0;
-    bool all_posted = false;
   };
 
   // --- construction ------------------------------------------------------

@@ -13,8 +13,10 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/inline_function.h"
@@ -126,11 +128,20 @@ class CpuServer {
   CpuServer& operator=(const CpuServer&) = delete;
 
   // Enqueues `duration` of CPU work; `done` runs when the work completes
-  // (after all previously enqueued work). `done` may be null.
-  void execute(Duration duration, CpuCategory cat,
-               InlineFunction done = nullptr) {
-    jobs_.push_back(Job{duration, cat, std::move(done)});
-    if (!busy_) start_next();
+  // (after all previously enqueued work). `done` may be null. Templated so
+  // that on an idle server the callable is built straight into `current_`.
+  template <typename Fn = std::nullptr_t>
+  void execute(Duration duration, CpuCategory cat, Fn&& done = nullptr) {
+    if (busy_) {
+      jobs_.push_back(
+          Job{duration, cat, InlineFunction(std::forward<Fn>(done))});
+      return;
+    }
+    // Idle: the job goes straight into service, no queue round-trip.
+    current_.duration = duration;
+    current_.cat = cat;
+    current_.done.emplace(std::forward<Fn>(done));
+    start_current();
   }
 
   bool busy() const { return busy_; }
@@ -175,10 +186,14 @@ class CpuServer {
       busy_ = false;
       return;
     }
-    busy_ = true;
-    // One job is in service at a time, so it lives in `current_` and the
-    // completion event captures only `this`.
     current_ = jobs_.pop_front();
+    start_current();
+  }
+
+  // One job is in service at a time, so it lives in `current_` and the
+  // completion event captures only `this`.
+  void start_current() {
+    busy_ = true;
     if (pool_) {
       // The thread stays busy while waiting for (and running on) a core.
       pool_->acquire(current_.duration, [this] { finish_current(); });
@@ -190,8 +205,12 @@ class CpuServer {
   void finish_current() {
     total_busy_ += current_.duration;
     busy_by_cat_[static_cast<size_t>(current_.cat)] += current_.duration;
-    InlineFunction done = std::move(current_.done);
-    if (done) done();
+    // `done` runs in place: busy_ stays set while it runs, so an execute()
+    // from inside it queues behind in jobs_ and never touches current_.
+    if (current_.done) {
+      current_.done();
+      current_.done.reset();
+    }
     start_next();
   }
 

@@ -37,11 +37,8 @@ class Ring {
   size_t size() const { return size_; }
   size_t capacity() const { return cap_; }
 
-  void push_back(T item) {
-    if (size_ == cap_) grow(cap_ ? cap_ * 2 : kMinCapacity);
-    std::construct_at(slots_ + ((head_ + size_) & mask_), std::move(item));
-    ++size_;
-  }
+  void push_back(T&& item) { emplace_back(std::move(item)); }
+  void push_back(const T& item) { emplace_back(item); }
 
   T pop_front() {
     assert(size_ > 0);
@@ -87,6 +84,22 @@ class Ring {
 
  private:
   static constexpr size_t kMinCapacity = 8;
+
+  // Constructs the new item straight into its slot. When the ring must
+  // grow first, the item is built before the old slots move, so pushing
+  // one of this ring's own items stays safe.
+  template <typename U>
+  void emplace_back(U&& item) {
+    if (size_ == cap_) {
+      T grown(std::forward<U>(item));
+      grow(cap_ ? cap_ * 2 : kMinCapacity);
+      std::construct_at(slots_ + size_, std::move(grown));
+    } else {
+      std::construct_at(slots_ + ((head_ + size_) & mask_),
+                        std::forward<U>(item));
+    }
+    ++size_;
+  }
 
   void grow(size_t want) {
     size_t ncap = kMinCapacity;

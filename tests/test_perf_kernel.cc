@@ -276,6 +276,27 @@ uint64_t allocations_during(Fn&& fn) {
   return g_allocs - before;
 }
 
+TEST(Simulation, LaneSchedulingIsAllocationFreeAtSteadyState) {
+  // Fixed-delay chains ride the delay lanes. Once the first pass has grown
+  // the slab, the heap and the lanes, a second pass allocates nothing.
+  struct Chain {
+    sim::Simulation* sim;
+    int remaining;
+    void operator()() {
+      if (--remaining > 0) sim->schedule_after(7, *this);
+    }
+  };
+  sim::Simulation s;
+  auto pass = [&s] {
+    for (int i = 0; i < 16; ++i) s.schedule_after(7, Chain{&s, 200});
+    s.run();
+  };
+  pass();
+  const uint64_t before = s.events_processed();
+  EXPECT_EQ(allocations_during(pass), 0u);
+  EXPECT_EQ(s.events_processed(), before + 16 * 200);
+}
+
 class IdleTransportTest : public ::testing::Test {
  protected:
   IdleTransportTest() {

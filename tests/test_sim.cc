@@ -2,6 +2,13 @@
 // category accounting, throughput resources, and bounded queues.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <functional>
+#include <queue>
+#include <tuple>
+#include <utility>
+#include <vector>
+
 #include "sim/cpu.h"
 #include "sim/queue.h"
 #include "sim/resource.h"
@@ -65,6 +72,160 @@ TEST(Simulation, MaxEventsGuard) {
   EXPECT_EQ(s.events_processed(), 100u);
 }
 
+// --- differential kernel test ------------------------------------------------
+//
+// Drives the kernel (heap plus delay lanes) and a reference
+// std::priority_queue on (time, seq) with the same seeded event mix and
+// asserts that both fire the same events at the same times, with the same
+// pending() / empty() / now() along the way. Each side draws from its own
+// copy of the generator in its own pop order, so the two stay in step only
+// while their pop orders agree.
+
+// Seeded source of delays: mostly a handful of repeated fixed delays (more
+// of them than there are lanes, so lanes are contended, released and
+// reclaimed), plus random, zero and far-future ones.
+class DelayMix {
+ public:
+  explicit DelayMix(uint64_t seed) : x_(seed) {}
+
+  Duration next() {
+    static constexpr Duration kFixed[] = {81'000, 148'000, 2'500,
+                                          10,     20,      30};
+    const uint64_t r = draw() % 100;
+    if (r < 30) return kFixed[draw() % 3];            // hot fixed delays
+    if (r < 40) return kFixed[3 + draw() % 3];        // colder fixed delays
+    if (r < 60) return static_cast<Duration>(draw() % 200'000);
+    if (r < 72) return 0;
+    if (r < 76) return Duration{1'000'000'000'000} +
+                       static_cast<Duration>(draw() % 1000);
+    return static_cast<Duration>(draw() % 100);
+  }
+
+  // Children an event schedules when it fires: 0, 1 or 2 (mean ~1).
+  int fanout() {
+    const uint64_t r = draw() % 8;
+    return r < 2 ? 0 : (r < 6 ? 1 : 2);
+  }
+
+ private:
+  uint64_t draw() {
+    x_ ^= x_ << 13;
+    x_ ^= x_ >> 7;
+    x_ ^= x_ << 17;
+    return x_;
+  }
+  uint64_t x_;
+};
+
+struct Fired {
+  int id;
+  Time at;
+  size_t pending;  // seen from inside the callback
+  bool operator==(const Fired&) const = default;
+};
+
+// The kernel under test. Event ids are handed out in scheduling order.
+struct KernelSide {
+  explicit KernelSide(uint64_t seed, int budget) : mix(seed), budget(budget) {}
+
+  void schedule(Duration d) {
+    const int id = next_id++;
+    sim.schedule_after(d, [this, id] { fire(id); });
+  }
+  void fire(int id) {
+    fired.push_back(Fired{id, sim.now(), sim.pending()});
+    for (int k = mix.fanout(); k > 0 && next_id < budget; --k) {
+      schedule(mix.next());
+    }
+  }
+
+  Simulation sim;
+  DelayMix mix;
+  int budget;
+  int next_id = 0;
+  std::vector<Fired> fired;
+};
+
+// The reference: a plain priority queue on (time, seq).
+struct ReferenceSide {
+  using Event = std::tuple<Time, uint64_t, int>;  // (time, seq, id)
+
+  explicit ReferenceSide(uint64_t seed, int budget)
+      : mix(seed), budget(budget) {}
+
+  void schedule(Duration d) { queue.emplace(now + d, seq++, next_id++); }
+  void fire_next() {
+    const auto [t, seq_unused, id] = queue.top();
+    queue.pop();
+    now = t;
+    fired.push_back(Fired{id, now, queue.size()});
+    for (int k = mix.fanout(); k > 0 && next_id < budget; --k) {
+      schedule(mix.next());
+    }
+  }
+  void run_until(Time t) {
+    while (!queue.empty() && std::get<0>(queue.top()) <= t) fire_next();
+    if (now < t) now = t;
+  }
+
+  std::priority_queue<Event, std::vector<Event>, std::greater<>> queue;
+  DelayMix mix;
+  int budget;
+  Time now = 0;
+  uint64_t seq = 0;
+  int next_id = 0;
+  std::vector<Fired> fired;
+};
+
+TEST(Simulation, LanesPopInTheSameOrderAsAPlainHeap) {
+  for (const uint64_t seed : {1ULL, 42ULL, 0x9E3779B97F4A7C15ULL}) {
+    SCOPED_TRACE(seed);
+    constexpr int kBudget = 60'000;
+    KernelSide k(seed, kBudget);
+    ReferenceSide r(seed, kBudget);
+    DelayMix outside(seed + 1);
+    // Seed both queues, then alternate run_until cut-offs, single steps
+    // and events scheduled from outside any callback.
+    for (int i = 0; i < 64; ++i) {
+      const Duration d = outside.next();
+      k.schedule(d);
+      r.schedule(d);
+    }
+    Time cut = 0;
+    for (int round = 0; round < 400 && !r.queue.empty(); ++round) {
+      cut += static_cast<Duration>(outside.next() % 50'000);
+      k.sim.run_until(cut);
+      r.run_until(cut);
+      ASSERT_EQ(k.sim.now(), r.now);
+      ASSERT_EQ(k.sim.pending(), r.queue.size());
+      ASSERT_EQ(k.sim.empty(), r.queue.empty());
+      if (round % 7 == 0 && !r.queue.empty()) {
+        ASSERT_TRUE(k.sim.step());
+        r.fire_next();
+        ASSERT_EQ(k.sim.now(), r.now);
+      }
+      for (int i = 0; i < 3; ++i) {
+        const Duration d = outside.next();
+        k.schedule(d);
+        r.schedule(d);
+      }
+    }
+    // Drain everything left, far-future timers included.
+    k.sim.run();
+    while (!r.queue.empty()) r.fire_next();
+    EXPECT_TRUE(k.sim.empty());
+    EXPECT_EQ(k.sim.pending(), 0u);
+    EXPECT_FALSE(k.sim.step());
+    EXPECT_EQ(k.sim.now(), r.now);
+    ASSERT_EQ(k.fired.size(), r.fired.size());
+    EXPECT_GT(k.fired.size(), 50'000u);
+    for (size_t i = 0; i < k.fired.size(); ++i) {
+      ASSERT_EQ(k.fired[i], r.fired[i]) << "event #" << i;
+    }
+    EXPECT_EQ(k.sim.events_processed(), k.fired.size());
+  }
+}
+
 // --- CpuServer ---------------------------------------------------------------
 
 TEST(CpuServer, FcfsServiceTimes) {
@@ -119,6 +280,38 @@ TEST(CpuServer, WorkSubmittedWhileBusyQueues) {
   s.run();
   EXPECT_EQ(completed, 2);
   EXPECT_EQ(s.now(), us(11));
+}
+
+TEST(CpuServer, ExecuteFromDoneQueuesBehindWaitingJobs) {
+  Simulation s;
+  CpuServer cpu(s, "t");
+  std::vector<std::pair<int, Time>> done;
+  cpu.execute(us(10), CpuCategory::kAppLogic, [&] {
+    done.emplace_back(1, s.now());
+    // Still busy while `done` runs: this job queues behind job 2.
+    EXPECT_TRUE(cpu.busy());
+    cpu.execute(us(3), CpuCategory::kSerialization,
+                [&] { done.emplace_back(3, s.now()); });
+    EXPECT_EQ(cpu.queue_depth(), 2u);
+  });
+  cpu.execute(us(5), CpuCategory::kProtocol, [&] {
+    done.emplace_back(2, s.now());
+    cpu.execute(us(1), CpuCategory::kSerialization, [&] {
+      done.emplace_back(4, s.now());
+      // Last job: nothing queued, so this one starts straight away.
+      cpu.execute(us(2), CpuCategory::kAppLogic,
+                  [&] { done.emplace_back(5, s.now()); });
+    });
+  });
+  s.run();
+  EXPECT_EQ(done, (std::vector<std::pair<int, Time>>{
+                      {1, us(10)}, {2, us(15)}, {3, us(18)}, {4, us(19)},
+                      {5, us(21)}}));
+  EXPECT_FALSE(cpu.busy());
+  EXPECT_EQ(cpu.busy_time(), us(21));
+  EXPECT_EQ(cpu.busy_time(CpuCategory::kAppLogic), us(12));
+  EXPECT_EQ(cpu.busy_time(CpuCategory::kProtocol), us(5));
+  EXPECT_EQ(cpu.busy_time(CpuCategory::kSerialization), us(4));
 }
 
 // --- CorePool -------------------------------------------------------------------

@@ -112,7 +112,7 @@ TEST(Slicing, UnblockCallbacksFire) {
 
 TEST(Slicing, LargerMmsFewerFlushes) {
   // The Fig. 11 mechanism: a bigger MMS amortizes work requests.
-  for (const auto [mms, expected_max] :
+  for (const auto& [mms, expected_max] :
        {std::pair<uint64_t, uint64_t>{500, 25},
         std::pair<uint64_t, uint64_t>{5000, 3}}) {
     Harness h;
